@@ -26,7 +26,7 @@ from typing import Iterator, Sequence
 import numpy as np
 from scipy.optimize import least_squares
 
-from .core import BareDistribution, CouplingMatrix
+from .core import BareDistribution, CouplingMatrix, symmetric_coupling
 from .errors import DimensionMismatch, SizeGuardExceeded
 
 __all__ = [
@@ -52,6 +52,7 @@ __all__ = [
 
 EXPANSION_GUARD = 10**7
 CONSTRAINT_GUARD = 4096
+PAIR_CHUNK = 1 << 15  # path pairs gathered at once when building constraints
 
 
 @dataclass(frozen=True)
@@ -156,7 +157,12 @@ def _round_options(
     return opts
 
 
-def _check_expansion_size(m: int, n: int) -> None:
+def _check_expansion(bare: BareDistribution, coupling: CouplingMatrix, n: int) -> None:
+    if coupling.m != bare.m:
+        raise DimensionMismatch("coupling size does not match the distribution")
+    if n < 1:
+        raise ValueError("need at least one round")
+    m = bare.m
     if m ** (2 * n) > EXPANSION_GUARD:
         raise SizeGuardExceeded(
             f"raw expansion has {m}^(2*{n}) terms, beyond the {EXPANSION_GUARD} guard"
@@ -188,11 +194,7 @@ def expand_paths(
     bare: BareDistribution, coupling: CouplingMatrix, n: int
 ) -> list[ExpandedTerm]:
     """All canonical terms of the N-round expansion, twins merged."""
-    if coupling.m != bare.m:
-        raise DimensionMismatch("coupling size does not match the distribution")
-    if n < 1:
-        raise ValueError("need at least one round")
-    _check_expansion_size(bare.m, n)
+    _check_expansion(bare, coupling, n)
     return list(_iter_terms(bare, coupling, n))
 
 
@@ -202,12 +204,14 @@ def xi_sum(bare: BareDistribution, coupling: CouplingMatrix, n: int) -> float:
     Equals (sum of observed probabilities)^N; the enumeration here is the
     long way around that closed form, which the tests use as the oracle.
     """
-    if coupling.m != bare.m:
-        raise DimensionMismatch("coupling size does not match the distribution")
-    if n < 1:
-        raise ValueError("need at least one round")
-    _check_expansion_size(bare.m, n)
-    return float(sum(t.multiplicity * t.value for t in _iter_terms(bare, coupling, n)))
+    _check_expansion(bare, coupling, n)
+    opts = _round_options(bare, coupling)
+    weights = np.array([f if b is None else 2.0 * f for _, b, f in opts])
+    terms = weights
+    for _ in range(n - 1):
+        terms = np.multiply.outer(terms, weights)
+    # accumulate in enumeration order, as the term-by-term sum does, bit for bit
+    return float(np.cumsum(terms.ravel())[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -269,12 +273,14 @@ class ConstraintSet(Sequence[PairConstraint]):
         self.m = int(m)
         if not (self.pair_i.size == self.pair_j.size == self.targets.size):
             raise DimensionMismatch("pair arrays must have equal length")
-        a = self.paths[self.pair_i]
-        b = self.paths[self.pair_j]
-        lo = np.minimum(a, b)
-        hi = np.maximum(a, b)
         weights = (self.m * self.m) ** np.arange(self.paths.shape[1], dtype=np.int64)
-        codes = ((lo * self.m + hi) * weights[None, :]).sum(axis=1)
+        codes = np.empty(self.pair_i.size, dtype=np.int64)
+        for lo in range(0, codes.size, PAIR_CHUNK):
+            chunk = slice(lo, lo + PAIR_CHUNK)
+            a = self.paths[self.pair_i[chunk]]
+            b = self.paths[self.pair_j[chunk]]
+            pattern = np.minimum(a, b) * self.m + np.maximum(a, b)
+            codes[chunk] = (pattern * weights).sum(axis=1)
         _, first, inverse, counts = np.unique(
             codes, return_index=True, return_inverse=True, return_counts=True
         )
@@ -321,13 +327,11 @@ def _pair_targets(
     paths: np.ndarray, coupling: CouplingMatrix, pair_i: np.ndarray, pair_j: np.ndarray
 ) -> np.ndarray:
     targets = np.empty(pair_i.size, dtype=float)
-    chunk = 1 << 18
-    for lo in range(0, pair_i.size, chunk):
-        hi = min(lo + chunk, pair_i.size)
-        a = paths[pair_i[lo:hi]]
-        b = paths[pair_j[lo:hi]]
-        factors = np.where(a == b, 1.0, coupling.d[a, b])
-        targets[lo:hi] = factors.prod(axis=1)
+    for lo in range(0, pair_i.size, PAIR_CHUNK):
+        chunk = slice(lo, lo + PAIR_CHUNK)
+        a = paths[pair_i[chunk]]
+        b = paths[pair_j[chunk]]
+        targets[chunk] = np.where(a == b, 1.0, coupling.d[a, b]).prod(axis=1)
     return targets
 
 
@@ -441,6 +445,21 @@ def _two_label_start(constraints: ConstraintSet) -> np.ndarray | None:
     return 0.5 * kappa * sigma
 
 
+def _group_jacobian(constraints: ConstraintSet, phi: np.ndarray) -> np.ndarray:
+    """Dense (n_groups, K) derivative of the group residuals in every path phase.
+
+    One bincount over the flat (group, path) cells, -sin terms first.  It
+    equals the two-pass ``np.add.at`` construction bit for bit, so
+    least-squares trajectories do not depend on how it is built.
+    """
+    ii, jj, ginv = constraints.pair_i, constraints.pair_j, constraints.group_inverse
+    k, n_groups = phi.size, constraints.n_groups
+    s = np.sin(phi[ii] - phi[jj]) / constraints.group_sizes[ginv]
+    cells = np.concatenate((ginv * k + ii, ginv * k + jj))
+    flat = np.bincount(cells, weights=np.concatenate((-s, s)), minlength=n_groups * k)
+    return flat.reshape(n_groups, k)
+
+
 def solve_phases(
     constraints: ConstraintSet,
     *,
@@ -451,9 +470,13 @@ def solve_phases(
 ) -> tuple[PhaseAssignment, SolveReport]:
     """Gauge-fixed least squares over the radix-grouped cosine constraints.
 
-    Deterministic given the seed: restarts draw their initial phases from
-    per-restart generator substreams keyed by restart index.  Non-convergence
-    is reported, not raised.
+    Starts are tried in order: the closed-form two-label start when it
+    applies, an evenly spread one, then the random restarts.  Each start is
+    scored before it is optimized; one already within ``tol`` is taken as it
+    is, so the closed-form case runs no least squares at all.  The first
+    start within ``tol`` ends the search.  Deterministic given the seed:
+    restarts draw their initial phases from per-restart generator substreams
+    keyed by restart index.  Non-convergence is reported, not raised.
     """
     k = constraints.n_paths
     ii, jj = constraints.pair_i, constraints.pair_j
@@ -487,12 +510,7 @@ def solve_phases(
         return group_residuals(np.concatenate(([0.0], theta)))
 
     def jac(theta: np.ndarray) -> np.ndarray:
-        phi = np.concatenate(([0.0], theta))
-        s = np.sin(phi[ii] - phi[jj]) / counts[ginv]
-        j_full = np.zeros((n_groups, k))
-        np.add.at(j_full, (ginv, ii), -s)
-        np.add.at(j_full, (ginv, jj), s)
-        return j_full[:, 1:]
+        return _group_jacobian(constraints, np.concatenate(([0.0], theta)))[:, 1:]
 
     starts: list[np.ndarray] = []
     analytic = _two_label_start(constraints)
@@ -510,24 +528,20 @@ def solve_phases(
     best_theta = None
     best_res = float("inf")
     best_start = -1
-    tried = 0
-    for idx, theta0 in enumerate(starts):
-        tried += 1
-        if k == 1 or n_groups == 0:
-            theta = np.asarray(theta0, dtype=float)
-        else:
-            result = least_squares(
+    for idx, theta in enumerate(starts):
+        res = float(np.max(np.abs(fun(theta))) if n_groups else 0.0)
+        if res > tol and k > 1:
+            theta = least_squares(
                 fun,
-                theta0,
+                theta,
                 jac=jac,
                 method=method,
                 max_nfev=max_iter * max(k, 2),
                 xtol=1e-14,
                 ftol=1e-14,
                 gtol=1e-14,
-            )
-            theta = result.x
-        res = float(np.max(np.abs(fun(theta))) if n_groups else 0.0)
+            ).x
+            res = float(np.max(np.abs(fun(theta))))
         if res < best_res:
             best_res = res
             best_theta = theta
@@ -548,7 +562,7 @@ def solve_phases(
         group_residuals=g_res,
         pair_residuals=p_res,
         group_sizes=constraints.group_sizes.copy(),
-        starts_tried=tried,
+        starts_tried=idx + 1,
         best_start=best_start,
         infeasible_indices=np.zeros(0, dtype=np.int64),
     )
@@ -607,44 +621,27 @@ def identity_check(
     seed: int = 0,
 ) -> IdentityReport:
     """Coupling -> constraints -> phase solve -> compare both path sums."""
-    from .core import symmetric_coupling
-
     coupling = symmetric_coupling(bare, loss_rates)
     constraints = build_constraints(bare, coupling, n)
     assignment, solve_report = solve_phases(
         constraints, max_iter=max_iter, tol=tol, restarts=restarts, seed=seed
     )
     xi = xi_sum(bare, coupling, n)
-    if not solve_report.feasible:
-        return IdentityReport(
-            m=bare.m,
-            n=n,
-            xi=xi,
-            amp_sq=float("nan"),
-            gap=float("nan"),
-            max_residual=float("inf"),
-            bound=float("nan"),
-            feasible=False,
-            converged=False,
-            coupling=coupling,
-            assignment=assignment,
-            solve_report=solve_report,
+    amp_sq = gap = bound = float("nan")
+    if solve_report.feasible:
+        amp_sq = float(abs(amplitude_sum(bare, assignment, n)) ** 2)
+        gap = abs(xi - amp_sq)
+        radices = path_radices(bare, constraints.paths)
+        reps = constraints.group_representative
+        rho = radices[constraints.pair_i[reps]] * radices[constraints.pair_j[reps]]
+        slack = 1e-13 * (1.0 + abs(xi) + amp_sq)
+        bound = float(
+            2.0
+            * np.sum(
+                constraints.group_sizes * rho * np.abs(solve_report.group_residuals)
+            )
+            + slack
         )
-    amp = amplitude_sum(bare, assignment, n)
-    amp_sq = float(abs(amp) ** 2)
-    gap = abs(xi - amp_sq)
-
-    radices = path_radices(bare, constraints.paths)
-    reps = constraints.group_representative
-    rho = radices[constraints.pair_i[reps]] * radices[constraints.pair_j[reps]]
-    slack = 1e-13 * (1.0 + abs(xi) + amp_sq)
-    bound = float(
-        2.0
-        * np.sum(
-            constraints.group_sizes * rho * np.abs(solve_report.group_residuals)
-        )
-        + slack
-    )
     return IdentityReport(
         m=bare.m,
         n=n,
@@ -653,7 +650,7 @@ def identity_check(
         gap=gap,
         max_residual=solve_report.max_residual,
         bound=bound,
-        feasible=True,
+        feasible=solve_report.feasible,
         converged=solve_report.converged,
         coupling=coupling,
         assignment=assignment,

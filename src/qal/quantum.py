@@ -383,7 +383,6 @@ class PathCheckReport:
     eps: float
     path: np.ndarray
     momenta: np.ndarray
-    velocity_residual: float
     force_residual: float
     gradient_residual: float
     action: float
@@ -432,9 +431,6 @@ def classical_path_check(
         interior = np.linalg.solve(a, rhs)
         xs = np.concatenate(([x_start], interior, [x_end]))
     ps = params.mass * (xs[1:] - xs[:-1]) / eps
-    velocity_residual = float(
-        np.max(np.abs(ps - params.mass * (xs[1:] - xs[:-1]) / eps))
-    )
     force = params.potential_gradient(xs[1:-1])
     force_residual = float(np.max(np.abs((ps[1:] - ps[:-1]) / eps + force))) if n > 1 else 0.0
 
@@ -469,7 +465,6 @@ def classical_path_check(
         eps=eps,
         path=xs,
         momenta=ps,
-        velocity_residual=velocity_residual,
         force_residual=force_residual,
         gradient_residual=gradient_residual,
         action=action,

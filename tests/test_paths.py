@@ -5,9 +5,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import least_squares
 
+import qal.paths
 from qal.core import BareDistribution, CouplingMatrix, symmetric_coupling
 from qal.errors import SizeGuardExceeded
 from qal.paths import (
@@ -16,6 +18,7 @@ from qal.paths import (
     amplitude_sum,
     build_constraints,
     census,
+    constraints_for_pairs,
     expand_paths,
     identity_check,
     path_radices,
@@ -50,6 +53,23 @@ def raw_expansion_sum(P, d, n):
                 value *= choices[base[rnd]][pick][1]
             total += value
     return total
+
+
+def add_at_jacobian(cs, phi):
+    """Oracle: the group-residual Jacobian built with two np.add.at passes."""
+    s = np.sin(phi[cs.pair_i] - phi[cs.pair_j]) / cs.group_sizes.astype(float)[
+        cs.group_inverse
+    ]
+    j_full = np.zeros((cs.n_groups, phi.size))
+    np.add.at(j_full, (cs.group_inverse, cs.pair_i), -s)
+    np.add.at(j_full, (cs.group_inverse, cs.pair_j), s)
+    return j_full
+
+
+def group_residuals(cs, phi):
+    c = np.cos(phi[cs.pair_i] - phi[cs.pair_j])
+    sums = np.bincount(cs.group_inverse, weights=c, minlength=cs.n_groups)
+    return sums / cs.group_sizes - cs.group_targets
 
 
 def random_symmetric_instance(rng, m_max=3, n_max=4):
@@ -161,6 +181,14 @@ class TestXiSum:
         expected = (1.0 - float(gamma @ P.probs)) ** n
         assert xi_sum(P, d, n) == pytest.approx(expected, abs=1e-10)
 
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_matches_term_by_term_sum(self, seed):
+        rng = np.random.default_rng(seed)
+        P, _, d, n = random_symmetric_instance(rng, m_max=3, n_max=4)
+        terms = sum(t.multiplicity * t.value for t in expand_paths(P, d, n))
+        assert xi_sum(P, d, n) == pytest.approx(terms, rel=1e-12)
+
 
 class TestConstraints:
     def test_m2_n1_single_pair(self):
@@ -199,6 +227,16 @@ class TestConstraints:
         cs = build_constraints(P, d, n)
         assert np.all(np.abs(cs.targets) <= 1.0 + 1e-12)
         assert cs.infeasible_pairs().size == 0
+
+    def test_chunked_build_matches_one_chunk(self, monkeypatch):
+        P = bare([0.2, 0.3, 0.5])
+        d = symmetric_coupling(P, [0.1, 0.2, 0.1])
+        whole = build_constraints(P, d, 3)
+        monkeypatch.setattr(qal.paths, "PAIR_CHUNK", 7)
+        chunked = build_constraints(P, d, 3)
+        assert len(whole) == 351  # 50 full chunks of 7 and a partial one
+        for name in ("targets", "group_inverse", "group_sizes", "group_targets"):
+            assert np.array_equal(getattr(chunked, name), getattr(whole, name))
 
     def test_size_guard(self):
         P = bare(np.full(9, 1.0 / 9.0))
@@ -268,6 +306,80 @@ class TestSolvePhases:
         assert assignment.phase_of((0, 1)) == pytest.approx(
             assignment.phases[1], abs=0.0
         )
+
+
+class TestGroupJacobian:
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_bitwise_equal_to_add_at(self, seed):
+        rng = np.random.default_rng(seed)
+        P, _, d, n = random_symmetric_instance(rng, m_max=3, n_max=3)
+        full = build_constraints(P, d, n)
+        # an endpoint-style subset: arbitrary pairs, some groups left out
+        keep = rng.random(len(full)) < 0.5
+        subset = constraints_for_pairs(
+            P, d, full.paths, full.pair_i[keep], full.pair_j[keep]
+        )
+        phi = rng.uniform(-np.pi, np.pi, full.n_paths)
+        for cs in (full, subset):
+            got = qal.paths._group_jacobian(cs, phi)
+            want = add_at_jacobian(cs, phi)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_matches_central_differences(self):
+        rng = np.random.default_rng(17)
+        P = bare([0.2, 0.3, 0.5])
+        cs = build_constraints(P, symmetric_coupling(P, [0.1, 0.2, 0.1]), 2)
+        phi = rng.uniform(-np.pi, np.pi, cs.n_paths)
+        h = 1e-6
+        numeric = np.empty((cs.n_groups, cs.n_paths))
+        for col in range(cs.n_paths):
+            step = np.zeros(cs.n_paths)
+            step[col] = h
+            plus = group_residuals(cs, phi + step)
+            minus = group_residuals(cs, phi - step)
+            numeric[:, col] = (plus - minus) / (2 * h)
+        jac = qal.paths._group_jacobian(cs, phi)
+        assert np.allclose(jac, numeric, rtol=0.0, atol=1e-8)
+
+
+class TestStartScoring:
+    @given(
+        p0=st.floats(0.05, 0.95),
+        gamma=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+        n=st.integers(1, 6),
+    )
+    @settings(
+        max_examples=25,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_closed_form_start_skips_least_squares(self, monkeypatch, p0, gamma, n):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("least_squares ran from a start already within tol")
+
+        monkeypatch.setattr(qal.paths, "least_squares", forbidden)
+        P = bare([p0, 1.0 - p0])
+        assume(symmetric_coupling(P, gamma).max_abs() <= 1.0)
+        rep = identity_check(P, gamma, n, seed=n)
+        assert rep.feasible and rep.converged
+        assert rep.solve_report.starts_tried == 1
+        assert rep.solve_report.best_start == 0
+        assert rep.gap <= rep.bound
+
+    def test_least_squares_runs_when_no_start_meets_tol(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs["method"])
+            return least_squares(*args, **kwargs)
+
+        monkeypatch.setattr(qal.paths, "least_squares", counting)
+        P = bare([0.2, 0.3, 0.5])
+        rep = identity_check(P, [0.1, 0.2, 0.1], 1, seed=3, restarts=2)
+        assert not rep.converged
+        assert rep.solve_report.starts_tried == 3
+        assert calls == ["lm"] * 3
 
 
 class TestAmplitudeSum:
