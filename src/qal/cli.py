@@ -434,32 +434,21 @@ def _parse_map(spec_text: str):
     raise ConfigError(f"unknown map {name!r}")
 
 
+# the names each particle option accepts, and the parameter that the number
+# after a name's colon sets
+_PARTICLE_NAMES = {"potential": ("free", "harmonic"), "apodization": ("none", "gaussian", "window")}
+_SHAPE_ARGS = {"harmonic": "omega", "gaussian": "sigma_y", "window": "window"}
+
+
 def _build_particle(params: dict, eps: float) -> quantum.ParticleParams:
-    pot_name, _, pot_arg = params["potential"].partition(":")
-    apod_name, _, apod_arg = params["apodization"].partition(":")
-    kwargs = dict(
-        mass=params["mass"],
-        alpha=params["alpha"],
-        eps=eps,
-        e0=params["e0"],
-    )
-    if pot_name == "free":
-        kwargs["potential"] = "free"
-    elif pot_name == "harmonic":
-        kwargs["potential"] = "harmonic"
-        kwargs["omega"] = float(pot_arg) if pot_arg else 1.0
-    else:
-        raise ConfigError(f"unknown potential {pot_name!r}")
-    if apod_name == "none":
-        kwargs["apodization"] = "none"
-    elif apod_name == "gaussian":
-        kwargs["apodization"] = "gaussian"
-        kwargs["sigma_y"] = float(apod_arg) if apod_arg else 1.0
-    elif apod_name == "window":
-        kwargs["apodization"] = "window"
-        kwargs["window"] = float(apod_arg) if apod_arg else 1.0
-    else:
-        raise ConfigError(f"unknown apodization {apod_name!r}")
+    kwargs = dict(mass=params["mass"], alpha=params["alpha"], eps=eps, e0=params["e0"])
+    for key, names in _PARTICLE_NAMES.items():
+        name, _, arg = params[key].partition(":")
+        if name not in names:
+            raise ConfigError(f"unknown {key} {name!r}")
+        kwargs[key] = name
+        if name in _SHAPE_ARGS:
+            kwargs[_SHAPE_ARGS[name]] = float(arg) if arg else 1.0
     try:
         return quantum.ParticleParams(**kwargs)
     except ValueError as exc:
@@ -600,22 +589,20 @@ def _run_propagate_game(config: ExperimentConfig):
     return 0, ["node", "probability"], rows, {"mass": float(out.sum())}
 
 
+def _packet(config: ExperimentConfig, params: quantum.ParticleParams):
+    """The configured initial Gaussian packet, built on whichever grid it gets."""
+    p = config.params
+    return lambda g: quantum.WaveState.gaussian(
+        g, center=p["center"], sigma=p["sigma0"], momentum=p["momentum"], alpha=params.alpha
+    )
+
+
 def _run_quantum_propagate(config: ExperimentConfig):
     params = _build_particle(config.params, config.params["eps"])
     grid = _make_grid(config.params)
-    psi0 = quantum.WaveState.gaussian(
-        grid,
-        center=config.params["center"],
-        sigma=config.params["sigma0"],
-        momentum=config.params["momentum"],
-        alpha=params.alpha,
-    )
-    result = quantum.propagate(psi0, params, config.params["steps"])
+    result = quantum.propagate(_packet(config, params)(grid), params, config.params["steps"])
     state = result.state
-    rows = [
-        [grid.nodes[k], state.values[k].real, state.values[k].imag, state.density()[k]]
-        for k in range(grid.size)
-    ]
+    rows = list(zip(grid.nodes, state.values.real, state.values.imag, state.density()))
     meta = {
         "width": state.sigma_x(),
         "center": state.mean_x(),
@@ -629,20 +616,10 @@ def _run_quantum_compare(config: ExperimentConfig):
     eps_values = config.params["eps-ladder"]
     params = _build_particle(config.params, min(eps_values))
     grid = _make_grid(config.params)
-
-    def factory(g):
-        return quantum.WaveState.gaussian(
-            g,
-            center=config.params["center"],
-            sigma=config.params["sigma0"],
-            momentum=config.params["momentum"],
-            alpha=params.alpha,
-        )
-
     report = quantum.convergence_study(
         params,
         grid,
-        factory,
+        _packet(config, params),
         config.params["time"],
         eps_values,
         reference_refine=config.params["refine"],

@@ -19,13 +19,14 @@ implicit scheme and serves as the convergence target.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .errors import DimensionMismatch, PhaseWrapGuard
+from .errors import DimensionMismatch, PhaseWrapGuard, SizeGuardExceeded
 from .grid import StateGrid
 
 __all__ = [
@@ -176,26 +177,58 @@ class WaveState:
         return cls(grid, envelope * phase).normalized()
 
 
+#: most bytes a dense kernel build or view may allocate; larger grids are
+#: refused before any K×K array exists
+KERNEL_BYTE_BUDGET = 1 << 31
+
+
+def _check_dense_budget(size: int, bytes_per_entry: int, what: str) -> None:
+    need = bytes_per_entry * size**2
+    if need > KERNEL_BYTE_BUDGET:
+        raise SizeGuardExceeded(
+            f"{what} on {size} nodes needs ~{need} bytes, over {KERNEL_BYTE_BUDGET}"
+        )
+
+
+def _dense_entries(columns: np.ndarray, vphase: np.ndarray) -> np.ndarray:
+    """Entry (i, j) = columns[(i - j) mod K, j] * vphase[j]."""
+    source = np.arange(vphase.size)
+    matrix = columns[(source[:, None] - source) % vphase.size, source]
+    matrix *= vphase
+    return matrix
+
+
 @dataclass(frozen=True, eq=False)
 class KernelMatrix:
     """One-step propagator on the grid.
 
-    ``matrix`` holds the dense entries; plain (non-apodized) kernels also
-    carry their Fourier symbol so application runs through the FFT.
-    ``prefactor`` records the continuum normalization sqrt(m/(2 pi i eps
-    alpha)) that the band-limited entries embed.
+    Convolution kernels (no apodization, or a free potential) carry their
+    Fourier symbol and apply through the FFT; their dense ``matrix`` is built
+    on demand.  An apodized kernel with a potential has no symbol and is built
+    dense.
     """
 
-    matrix: np.ndarray
     grid: StateGrid
     params: ParticleParams
-    prefactor: complex
     symbol: np.ndarray | None
     vphase: np.ndarray | None
+    dense: dataclasses.InitVar[np.ndarray | None] = None
+
+    def __post_init__(self, dense: np.ndarray | None) -> None:
+        if dense is not None:
+            self.__dict__["matrix"] = dense
 
     @property
     def apodized(self) -> bool:
         return self.symbol is None
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        size = self.grid.size
+        # peak: int64 gather indices and the complex entries
+        _check_dense_budget(size, 24, "dense kernel view")
+        column = np.fft.ifft(self.symbol)[:, None]
+        return _dense_entries(np.broadcast_to(column, (size, size)), self.vphase)
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         if self.symbol is not None:
@@ -223,32 +256,18 @@ def build_kernel(params: ParticleParams, grid: StateGrid) -> KernelMatrix:
     k = grid.wavenumbers()
     symbol = np.exp(-1j * params.eps * params.alpha * k**2 / (2.0 * params.mass))
     vphase = np.exp(-1j * params.eps * v / params.alpha)
-    size = grid.size
-    prefactor = complex(
-        np.sqrt(params.mass / (2.0 * np.pi * params.eps * params.alpha))
-        * np.exp(-1j * np.pi / 4.0)
-    )
     kinetic = (params.alpha * k) ** 2 / (2.0 * params.mass)
-    if params.apodization == "none":
-        column = np.fft.ifft(symbol)
-        offsets = (np.arange(size)[:, None] - np.arange(size)[None, :]) % size
-        matrix = column[offsets] * vphase[None, :]
-        return KernelMatrix(matrix, grid, params, prefactor, symbol, vphase)
-    if params.potential == "free" and np.all(v == 0.0):
+    if params.apodization == "none" or (params.potential == "free" and np.all(v == 0.0)):
         # energy offset is mode-diagonal: the kernel stays a convolution
         y = params.eps * (kinetic - params.e0) / params.alpha
         damped = symbol * params.apodization_factor(y)
-        column = np.fft.ifft(damped)
-        offsets = (np.arange(size)[:, None] - np.arange(size)[None, :]) % size
-        matrix = column[offsets] * vphase[None, :]
-        return KernelMatrix(matrix, grid, params, prefactor, damped, vphase)
-    # per-source-node damping of every momentum mode
+        return KernelMatrix(grid, params, damped, vphase)
+    # per-source-node damping of every momentum mode; peak: the float64
+    # offsets, the damped mode columns, the gather indices and the entries
+    _check_dense_budget(grid.size, 48, "apodized kernel")
     y = params.eps * (kinetic[:, None] + v[None, :] - params.e0) / params.alpha
-    damped = symbol[:, None] * params.apodization_factor(y)
-    columns = np.fft.ifft(damped, axis=0)
-    offsets = (np.arange(size)[:, None] - np.arange(size)[None, :]) % size
-    matrix = columns[offsets, np.arange(size)[None, :]] * vphase[None, :]
-    return KernelMatrix(matrix, grid, params, prefactor, None, None)
+    columns = np.fft.ifft(symbol[:, None] * params.apodization_factor(y), axis=0)
+    return KernelMatrix(grid, params, None, None, _dense_entries(columns, vphase))
 
 
 @dataclass(frozen=True, eq=False)
@@ -273,9 +292,13 @@ def propagate(
         kernel = build_kernel(params, psi0.grid)
     if kernel.grid is not psi0.grid and kernel.grid.size != psi0.grid.size:
         raise DimensionMismatch("kernel grid does not match the state grid")
-    values = psi0.values
-    for _ in range(steps):
-        values = kernel.apply(values)
+    if kernel.symbol is not None and np.all(kernel.vphase == 1.0):
+        # a pure convolution: K^steps is the symbol to the power steps
+        values = np.fft.ifft(kernel.symbol**steps * np.fft.fft(psi0.values))
+    else:
+        values = psi0.values
+        for _ in range(steps):
+            values = kernel.apply(values)
     raw = WaveState(psi0.grid, values)
     norm = raw.norm()
     return PropagationResult(state=raw.normalized(), accumulated_norm=norm, steps=steps)
@@ -576,6 +599,13 @@ def _aligned_l2_distance(a: np.ndarray, b: np.ndarray, dx: float) -> float:
     return float(np.sqrt(max(na + nb - 2.0 * overlap, 0.0)))
 
 
+def _steps(total_time: float, eps: float) -> int:
+    steps = int(round(total_time / eps))
+    if abs(steps * eps - total_time) > 1e-9 * total_time:
+        raise ValueError(f"eps {eps} does not divide the total time")
+    return steps
+
+
 def convergence_study(
     params: ParticleParams,
     grid: StateGrid,
@@ -606,11 +636,7 @@ def convergence_study(
     points = []
     psi0 = state_factory(grid)
     for eps in eps_values:
-        steps = int(round(total_time / eps))
-        if abs(steps * eps - total_time) > 1e-9 * total_time:
-            raise ValueError(f"eps {eps} does not divide the total time")
-        stepped = dataclasses.replace(params, eps=eps)
-        result = propagate(psi0, stepped, steps)
+        result = propagate(psi0, dataclasses.replace(params, eps=eps), _steps(total_time, eps))
         err = _l2_distance(result.state.values, ref_coarse, grid.dx)
         points.append(ConvergencePoint(eps, err))
     order = _fit_order(
@@ -640,9 +666,7 @@ def apodization_study(
     psi0 = state_factory(grid)
     points = []
     for eps in eps_values:
-        steps = int(round(total_time / eps))
-        if abs(steps * eps - total_time) > 1e-9 * total_time:
-            raise ValueError(f"eps {eps} does not divide the total time")
+        steps = _steps(total_time, eps)
         stepped = dataclasses.replace(params, eps=eps)
         plain = dataclasses.replace(stepped, apodization="none")
         apodized = propagate(psi0, stepped, steps)

@@ -1,16 +1,20 @@
 """Transfer-matrix propagation, reference solver, and analytic oracles."""
 
+import contextlib
 import dataclasses
+import resource
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from qal.errors import PhaseWrapGuard
+from qal.errors import PhaseWrapGuard, SizeGuardExceeded
 from qal.grid import StateGrid
 from qal.quantum import (
     ParticleParams,
     WaveState,
     apodization_study,
+    KERNEL_BYTE_BUDGET,
     build_kernel,
     classical_path_check,
     convergence_study,
@@ -88,6 +92,138 @@ class TestKernel:
     def test_tau_characteristic_time(self):
         assert ParticleParams(eps=1e-3, apodization="gaussian", sigma_y=2.0).tau == pytest.approx(5e-4)
         assert ParticleParams(eps=1e-3).tau == 0.0
+
+
+def eager_matrix(params, grid):
+    """Oracle: the dense entries as every kernel once built them up front."""
+    v = params.potential_values(grid)
+    k = grid.wavenumbers()
+    symbol = np.exp(-1j * params.eps * params.alpha * k**2 / (2.0 * params.mass))
+    vphase = np.exp(-1j * params.eps * v / params.alpha)
+    kinetic = (params.alpha * k) ** 2 / (2.0 * params.mass)
+    size = grid.size
+    offsets = (np.arange(size)[:, None] - np.arange(size)[None, :]) % size
+    if params.apodization == "none":
+        return np.fft.ifft(symbol)[offsets] * vphase[None, :]
+    if params.potential == "free":
+        y = params.eps * (kinetic - params.e0) / params.alpha
+        column = np.fft.ifft(symbol * params.apodization_factor(y))
+        return column[offsets] * vphase[None, :]
+    y = params.eps * (kinetic[:, None] + v[None, :] - params.e0) / params.alpha
+    columns = np.fft.ifft(symbol[:, None] * params.apodization_factor(y), axis=0)
+    return columns[offsets, np.arange(size)[None, :]] * vphase[None, :]
+
+
+KERNEL_CASES = {
+    "plain": ParticleParams(eps=1e-3),
+    "free-gaussian": ParticleParams(eps=1e-2, apodization="gaussian", sigma_y=0.5),
+    "free-window": ParticleParams(eps=1e-2, apodization="window", window=2.0),
+    "harmonic": ParticleParams(eps=1e-3, potential="harmonic", omega=1.0),
+    "harmonic-gaussian": ParticleParams(
+        eps=1e-2, potential="harmonic", apodization="gaussian", sigma_y=0.5
+    ),
+}
+
+
+def big_grid(size):
+    return StateGrid(np.linspace(-10.0, 10.0, size, endpoint=False))
+
+
+def traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@contextlib.contextmanager
+def capped_address_space(headroom=256 << 20):
+    """Let a broken byte guard fail with MemoryError instead of filling the host."""
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    with open("/proc/self/statm") as statm:
+        mapped = int(statm.read().split()[0]) * resource.getpagesize()
+    cap = mapped + headroom if hard == resource.RLIM_INFINITY else min(hard, mapped + headroom)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+class TestLazyKernel:
+    @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+    def test_matrix_bitwise_equals_eager_construction(self, case):
+        params = KERNEL_CASES[case]
+        grid = make_grid(6.0, 0.1)
+        kern = build_kernel(params, grid)
+        assert ("matrix" in vars(kern)) == kern.apodized  # dense only when needed
+        assert np.array_equal(kern.matrix, eager_matrix(params, grid))
+        assert kern.matrix is kern.matrix
+
+    @pytest.mark.parametrize("case", ["plain", "free-gaussian", "harmonic"])
+    def test_convolution_build_is_linear_in_memory(self, case):
+        grid = big_grid(4001)
+        kernels = []
+        peak = traced_peak(lambda: kernels.append(build_kernel(KERNEL_CASES[case], grid)))
+        assert peak < 1 << 20
+        assert not kernels[0].apodized and "matrix" not in vars(kernels[0])
+
+    def test_dense_view_refused_over_budget_before_allocating(self):
+        kern = build_kernel(KERNEL_CASES["plain"], big_grid(20001))
+
+        def read_matrix():
+            with capped_address_space(), pytest.raises(
+                SizeGuardExceeded, match=str(24 * 20001**2)
+            ):
+                kern.matrix
+
+        assert traced_peak(read_matrix) < 1 << 20
+        assert "matrix" not in vars(kern)
+        assert np.all(np.isfinite(kern.apply(np.ones(20001))))  # the FFT path still runs
+
+    def test_dense_build_refused_over_budget_before_allocating(self):
+        params = KERNEL_CASES["harmonic-gaussian"]
+
+        def build():
+            with capped_address_space(), pytest.raises(
+                SizeGuardExceeded, match=str(48 * 20001**2)
+            ):
+                build_kernel(params, big_grid(20001))
+
+        assert 48 * 20001**2 > KERNEL_BYTE_BUDGET
+        assert traced_peak(build) < 4 << 20
+
+
+class TestClosedFormPower:
+    @staticmethod
+    def stepped(params, grid, steps):
+        kern = build_kernel(params, grid)
+        values = WaveState.gaussian(grid, center=0.5, sigma=0.7, momentum=1.0).values
+        for _ in range(steps):
+            values = kern.apply(values)
+        raw = WaveState(grid, values)
+        return raw.normalized().values, raw.norm()
+
+    @pytest.mark.parametrize("case", ["plain", "free-gaussian"])
+    def test_free_kernel_power_matches_step_loop(self, case):
+        params = KERNEL_CASES[case]
+        grid = make_grid(8.0, 0.05)
+        psi0 = WaveState.gaussian(grid, center=0.5, sigma=0.7, momentum=1.0)
+        result = propagate(psi0, params, 400)
+        values, norm = self.stepped(params, grid, 400)
+        assert np.max(np.abs(result.state.values - values)) <= 1e-12
+        assert result.accumulated_norm == pytest.approx(norm, rel=1e-12)
+
+    def test_harmonic_plain_keeps_the_step_loop_bitwise(self):
+        params = KERNEL_CASES["harmonic"]
+        grid = make_grid(8.0, 0.05)
+        psi0 = WaveState.gaussian(grid, center=0.5, sigma=0.7, momentum=1.0)
+        result = propagate(psi0, params, 200)
+        values, norm = self.stepped(params, grid, 200)
+        assert np.array_equal(result.state.values, values)
+        assert result.accumulated_norm == norm
 
 
 class TestPropagate:
