@@ -185,9 +185,7 @@ KERNEL_BYTE_BUDGET = 1 << 31
 def _check_dense_budget(size: int, bytes_per_entry: int, what: str) -> None:
     need = bytes_per_entry * size**2
     if need > KERNEL_BYTE_BUDGET:
-        raise SizeGuardExceeded(
-            f"{what} on {size} nodes needs ~{need} bytes, over {KERNEL_BYTE_BUDGET}"
-        )
+        raise SizeGuardExceeded(f"{what}: ~{need} bytes for {size} nodes > {KERNEL_BYTE_BUDGET}")
 
 
 def _dense_entries(columns: np.ndarray, vphase: np.ndarray) -> np.ndarray:
@@ -262,8 +260,8 @@ def build_kernel(params: ParticleParams, grid: StateGrid) -> KernelMatrix:
         y = params.eps * (kinetic - params.e0) / params.alpha
         damped = symbol * params.apodization_factor(y)
         return KernelMatrix(grid, params, damped, vphase)
-    # per-source-node damping of every momentum mode; peak: the float64
-    # offsets, the damped mode columns, the gather indices and the entries
+    # per-source-node damping of every momentum mode; peak: the energy
+    # offsets y, the damped mode columns, the gather indices and the entries
     _check_dense_budget(grid.size, 48, "apodized kernel")
     y = params.eps * (kinetic[:, None] + v[None, :] - params.e0) / params.alpha
     columns = np.fft.ifft(symbol[:, None] * params.apodization_factor(y), axis=0)
