@@ -147,8 +147,6 @@ PARAM_SPECS: dict[str, dict[str, ParamSpec]] = {
         **_WAVE,
         "time": ParamSpec("float", 0.5, "total physical time"),
         "eps-ladder": ParamSpec("floats", [4e-3, 2e-3, 1e-3], "time steps to compare"),
-        "refine": ParamSpec("int", 4, "reference grid refinement factor"),
-        "reference-dt": ParamSpec("float", None, "reference solver step (default min(eps)/4)"),
     },
     "uncertainty": {
         "alpha": ParamSpec("float", 1.0, "action scale"),
@@ -418,37 +416,51 @@ def _build_channel(params: dict) -> tuple[BareDistribution, QRuleParams]:
     return bare, rules
 
 
-def _parse_map(spec_text: str):
-    name, _, argtext = spec_text.partition(":")
-    args = [float(a) for a in argtext.split(",")] if argtext else []
-    if name == "identity":
-        return markov.make_map("identity")
-    if name == "constant":
-        return markov.make_map("constant", value=args[0] if args else 1.0)
-    if name == "linear":
-        return markov.make_map("linear", slope=args[0] if args else 1.0)
-    if name == "quadratic":
-        if len(args) != 2:
-            raise ConfigError("quadratic map needs two parameters: quadratic:A,B")
-        return markov.make_map("quadratic", slope=args[0], curvature=args[1])
-    raise ConfigError(f"unknown map {name!r}")
+_MAPS = {
+    "identity": {},
+    "constant": {"value": 1.0},
+    "linear": {"slope": 1.0},
+    "quadratic": {"slope": None, "curvature": None},
+}
+
+# the names each ``name:a,b`` option accepts; for each name, the keywords the
+# numbers after its colon set, in order, with their defaults (None: required)
+_SHAPES = {
+    "drift": _MAPS,
+    "gain": _MAPS,
+    "potential": {"free": {}, "harmonic": {"omega": 1.0}},
+    "apodization": {"none": {}, "gaussian": {"sigma_y": 1.0}, "window": {"window": 1.0}},
+}
 
 
-# the names each particle option accepts, and the parameter that the number
-# after a name's colon sets
-_PARTICLE_NAMES = {"potential": ("free", "harmonic"), "apodization": ("none", "gaussian", "window")}
-_SHAPE_ARGS = {"harmonic": "omega", "gaussian": "sigma_y", "window": "window"}
+def _parse_shape(key: str, text: str) -> tuple[str, dict]:
+    """Split option ``key``'s ``name:a,b`` into the name and its keywords."""
+    name, _, argtext = text.partition(":")
+    shapes = _SHAPES[key]
+    if name not in shapes:
+        raise ConfigError(f"{key}: unknown name {name!r}, expected one of {', '.join(shapes)}")
+    keywords = shapes[name]
+    args = _convert(key, argtext, ParamSpec("floats")) if argtext else []
+    if not args and None not in keywords.values():
+        return name, dict(keywords)
+    if len(args) != len(keywords):
+        raise ConfigError(
+            f"{key}: {name} takes {len(keywords)} numbers "
+            f"({', '.join(keywords) or 'none'}), got {text!r}"
+        )
+    return name, dict(zip(keywords, args))
+
+
+def _parse_map(key: str, params: dict):
+    name, keywords = _parse_shape(key, params[key])
+    return markov.make_map(name, **keywords)
 
 
 def _build_particle(params: dict, eps: float) -> quantum.ParticleParams:
     kwargs = dict(mass=params["mass"], alpha=params["alpha"], eps=eps, e0=params["e0"])
-    for key, names in _PARTICLE_NAMES.items():
-        name, _, arg = params[key].partition(":")
-        if name not in names:
-            raise ConfigError(f"unknown {key} {name!r}")
-        kwargs[key] = name
-        if name in _SHAPE_ARGS:
-            kwargs[_SHAPE_ARGS[name]] = float(arg) if arg else 1.0
+    for key in ("potential", "apodization"):
+        kwargs[key], keywords = _parse_shape(key, params[key])
+        kwargs.update(keywords)
     try:
         return quantum.ParticleParams(**kwargs)
     except ValueError as exc:
@@ -550,8 +562,8 @@ def _run_phase_solve(config: ExperimentConfig):
 def _game_spec(config: ExperimentConfig) -> markov.GameSpec:
     bare, rules = _build_channel(config.params)
     return markov.GameSpec(
-        drift=_parse_map(config.params["drift"]),
-        gain=_parse_map(config.params["gain"]),
+        drift=_parse_map("drift", config.params),
+        gain=_parse_map("gain", config.params),
         noise=bare,
         rules=rules,
     )
@@ -622,8 +634,6 @@ def _run_quantum_compare(config: ExperimentConfig):
         _packet(config, params),
         config.params["time"],
         eps_values,
-        reference_refine=config.params["refine"],
-        reference_dt=config.params["reference-dt"],
     )
     rows = [[p.eps, p.l2_error] for p in report.points]
     return 0, ["eps", "l2_error"], rows, {"fitted-order": report.fitted_order}

@@ -157,15 +157,17 @@ def _round_options(
     return opts
 
 
-def _check_expansion(bare: BareDistribution, coupling: CouplingMatrix, n: int) -> None:
+def _check_expansion(
+    bare: BareDistribution, coupling: CouplingMatrix, n: int, per_round: int
+) -> None:
+    """Refuse an N-round expansion of ``per_round`` terms a round over the guard."""
     if coupling.m != bare.m:
         raise DimensionMismatch("coupling size does not match the distribution")
     if n < 1:
         raise ValueError("need at least one round")
-    m = bare.m
-    if m ** (2 * n) > EXPANSION_GUARD:
+    if per_round**n > EXPANSION_GUARD:
         raise SizeGuardExceeded(
-            f"raw expansion has {m}^(2*{n}) terms, beyond the {EXPANSION_GUARD} guard"
+            f"expansion has {per_round}^{n} terms, beyond the {EXPANSION_GUARD} guard"
         )
 
 
@@ -194,7 +196,7 @@ def expand_paths(
     bare: BareDistribution, coupling: CouplingMatrix, n: int
 ) -> list[ExpandedTerm]:
     """All canonical terms of the N-round expansion, twins merged."""
-    _check_expansion(bare, coupling, n)
+    _check_expansion(bare, coupling, n, bare.m**2)
     return list(_iter_terms(bare, coupling, n))
 
 
@@ -204,7 +206,8 @@ def xi_sum(bare: BareDistribution, coupling: CouplingMatrix, n: int) -> float:
     Equals (sum of observed probabilities)^N; the enumeration here is the
     long way around that closed form, which the tests use as the oracle.
     """
-    _check_expansion(bare, coupling, n)
+    # the terms array holds one entry per merged option: M(M+1)/2 a round
+    _check_expansion(bare, coupling, n, bare.m * (bare.m + 1) // 2)
     opts = _round_options(bare, coupling)
     weights = np.array([f if b is None else 2.0 * f for _, b, f in opts])
     terms = weights

@@ -242,6 +242,25 @@ class TestCommands:
         assert rc == 1
         assert "p" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["simulate-game", "--p", ".5,.5", "--drift", "constant:abc"], "drift"),
+            (["simulate-game", "--p", ".5,.5", "--gain", "linear:1,2,3"], "gain"),
+            (["simulate-game", "--p", ".5,.5", "--drift", "identity:7"], "drift"),
+            (["quantum-propagate", "--potential", "harmonic:abc"], "potential"),
+            (["quantum-propagate", "--apodization", "gaussian:x"], "apodization"),
+        ],
+    )
+    def test_malformed_shape_option_exit_1(self, tmp_path, capsys, argv, key):
+        assert run_in(tmp_path, argv + ["--out", "x.csv"]) == 1
+        assert f": {key}: " in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_removed_reference_flag_exit_1(self, tmp_path, capsys):
+        assert run_in(tmp_path, ["quantum-compare", "--refine", "4"]) == 1
+        assert "unrecognized arguments: --refine" in capsys.readouterr().err
+
     def test_no_command_exit_1(self, tmp_path):
         assert run_in(tmp_path, []) == 1
 

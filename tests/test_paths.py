@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -172,6 +173,23 @@ class TestXiSum:
         P = bare([0.5, 0.3, 0.2])
         d = symmetric_coupling(P, [0.1, 0.1, 0.1])
         assert xi_sum(P, d, 2) == pytest.approx(0.81, abs=1e-10)
+
+    def test_guard_counts_the_merged_terms(self):
+        P = bare([0.5, 0.5])
+        d = symmetric_coupling(P, [0.2, 0.2])
+        assert xi_sum(P, d, 12) == pytest.approx(0.8**12, rel=1e-12)  # 3^12 terms
+
+    def test_oversized_n_refused_before_allocating(self):
+        P = bare([0.5, 0.5])
+        d = symmetric_coupling(P, [0.2, 0.2])
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeGuardExceeded, match=r"3\^15"):
+                xi_sum(P, d, 15)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)

@@ -272,14 +272,14 @@ class TestReferenceSolver:
         grid = make_grid(10.0, 0.1)
         params = ParticleParams(potential="harmonic", omega=1.0)
         psi0 = WaveState.gaussian(grid, center=0.5, sigma=1.0)
-        out = reference_solver(psi0, params, 1.0, dt=1e-4)  # 10^4 steps
+        out = reference_solver(psi0, params, 1.0)
         assert abs(out.norm() - 1.0) <= 1e-10
 
     def test_free_gaussian_width(self):
         grid = make_grid(20.0, 0.05)
         params = ParticleParams(eps=1e-3)
         psi0 = WaveState.gaussian(grid, sigma=1.0)
-        out = reference_solver(psi0, params, 1.0, dt=5e-4)
+        out = reference_solver(psi0, params, 1.0)
         assert out.sigma_x() == pytest.approx(SQRT_1_25, abs=1e-4)
 
     def test_transfer_matrix_converges_to_reference(self):
@@ -290,6 +290,46 @@ class TestReferenceSolver:
         errors = [p.l2_error for p in report.points]
         assert errors[0] < errors[1] < errors[2]  # points sorted by eps ascending
         assert report.fitted_order >= 0.9
+
+
+class TestExactReference:
+    def test_free_packet_matches_the_symbol_power(self):
+        grid = make_grid(20.0, 0.05)
+        params = ParticleParams(eps=1e-3)
+        psi0 = WaveState.gaussian(grid, center=0.5, sigma=1.0, momentum=1.0)
+        out = reference_solver(psi0, params, 1000 * params.eps)
+        symbol = build_kernel(params, grid).symbol
+        expected = np.fft.ifft(symbol**1000 * np.fft.fft(psi0.values))
+        assert np.max(np.abs(out.values - expected)) <= 1e-12
+
+    def test_harmonic_norm_conserved(self):
+        grid = make_grid(16.0, 0.05)
+        params = ParticleParams(potential="harmonic", omega=1.0)
+        psi0 = WaveState.gaussian(grid, center=1.0, sigma=np.sqrt(0.5))
+        out = reference_solver(psi0, params, 10.0)
+        assert abs(out.norm() - 1.0) <= 1e-12
+
+    def test_error_is_first_order_in_criterion_08_setting(self):
+        grid = StateGrid.from_range(-16.0, 16.0, 641)
+        params = ParticleParams(potential="harmonic", omega=1.0)
+        factory = lambda g: WaveState.gaussian(g, center=1.0, sigma=np.sqrt(0.5))
+        report = convergence_study(params, grid, factory, 0.5, [4e-3, 2e-3, 1e-3])
+        errors = [p.l2_error for p in report.points]
+        assert errors[1] / errors[0] == pytest.approx(2.0, rel=0.02)
+        assert errors[2] / errors[1] == pytest.approx(2.0, rel=0.02)
+
+    def test_refused_over_budget_before_allocating(self):
+        grid = big_grid(20001)
+        psi0 = WaveState(grid, np.ones(grid.size))
+        params = ParticleParams(potential="harmonic", omega=1.0)
+
+        def solve():
+            with capped_address_space(), pytest.raises(
+                SizeGuardExceeded, match=str(48 * 20001**2)
+            ):
+                reference_solver(psi0, params, 0.5)
+
+        assert traced_peak(solve) < 1 << 20
 
 
 class TestMomentumTransform:
