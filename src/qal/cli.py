@@ -143,6 +143,8 @@ PARAM_SPECS: dict[str, dict[str, ParamSpec]] = {
     },
     "quantum-compare": {
         **_PARTICLE,
+        # a free, unapodized kernel is exact in time: no order to fit
+        "potential": ParamSpec("str", "harmonic:1", "free | harmonic:OMEGA"),
         **_GRID,
         **_WAVE,
         "time": ParamSpec("float", 0.5, "total physical time"),

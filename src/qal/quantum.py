@@ -1,9 +1,12 @@
 """Noisy 1D particle: amplitude transfer matrix and its exact reference.
 
-One time step multiplies the state by a kernel built from the exact Gaussian
-momentum integral evaluated on the periodic grid's momentum lattice, times a
-potential phase on the source node and an optional square-root damping
-(apodization) of large energy offsets.  Without apodization the kernel is
+One time step multiplies the state by a potential phase on the source node,
+then by the exact Gaussian momentum integral evaluated on the periodic grid's
+momentum lattice.  An optional square-root damping (apodization) of large
+energy offsets multiplies each factor separately: the momentum symbol by the
+weight of its kinetic offset, the potential phase by the weight of its
+potential offset.  Every kernel is thus a convolution times a diagonal,
+applied through one FFT pair, and a contraction.  Without apodization it is
 exactly unitary on the grid; its entries are the band-limited realization of
 the continuum expression
 
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, PhaseWrapGuard, SizeGuardExceeded
+from .errors import ConfigError, DimensionMismatch, PhaseWrapGuard, SizeGuardExceeded
 from .grid import StateGrid
 
 __all__ = [
@@ -187,59 +190,50 @@ def _check_dense_budget(size: int, bytes_per_entry: int, what: str) -> None:
         raise SizeGuardExceeded(f"{what}: ~{need} bytes for {size} nodes > {KERNEL_BYTE_BUDGET}")
 
 
-def _dense_entries(columns: np.ndarray, vphase: np.ndarray) -> np.ndarray:
-    """Entry (i, j) = columns[(i - j) mod K, j] * vphase[j]."""
+def _dense_entries(column: np.ndarray, vphase: np.ndarray) -> np.ndarray:
+    """Entry (i, j) = column[(i - j) mod K] * vphase[j]."""
     source = np.arange(vphase.size)
-    matrix = columns[(source[:, None] - source) % vphase.size, source]
+    matrix = column[(source[:, None] - source) % vphase.size]
     matrix *= vphase
     return matrix
 
 
 @dataclass(frozen=True, eq=False)
 class KernelMatrix:
-    """One-step propagator on the grid.
+    """One-step propagator K = F^-1 diag(symbol) F diag(vphase) on the grid.
 
-    Convolution kernels (no apodization, or a free potential) carry their
-    Fourier symbol and apply through the FFT; their dense ``matrix`` is built
-    on demand.  An apodized kernel with a potential has no symbol and is built
-    dense.
+    Every kernel is a convolution times a diagonal: it applies through one
+    FFT pair, and its dense ``matrix`` is built only when something reads it.
     """
 
     grid: StateGrid
     params: ParticleParams
-    symbol: np.ndarray | None
-    vphase: np.ndarray | None
-    dense: dataclasses.InitVar[np.ndarray | None] = None
-
-    def __post_init__(self, dense: np.ndarray | None) -> None:
-        if dense is not None:
-            self.__dict__["matrix"] = dense
+    symbol: np.ndarray
+    vphase: np.ndarray
 
     @property
     def apodized(self) -> bool:
-        return self.symbol is None
+        return self.params.apodization != "none"
 
     @functools.cached_property
     def matrix(self) -> np.ndarray:
-        size = self.grid.size
         # peak: int64 gather indices and the complex entries
-        _check_dense_budget(size, 24, "dense kernel view")
-        column = np.fft.ifft(self.symbol)[:, None]
-        return _dense_entries(np.broadcast_to(column, (size, size)), self.vphase)
+        _check_dense_budget(self.grid.size, 24, "dense kernel view")
+        return _dense_entries(np.fft.ifft(self.symbol), self.vphase)
 
     def apply(self, values: np.ndarray) -> np.ndarray:
-        if self.symbol is not None:
-            return np.fft.ifft(self.symbol * np.fft.fft(self.vphase * values))
-        return self.matrix @ values
+        return np.fft.ifft(self.symbol * np.fft.fft(self.vphase * values))
 
 
 def build_kernel(params: ParticleParams, grid: StateGrid) -> KernelMatrix:
     """One-step kernel from the exact momentum-lattice Gaussian integral.
 
-    The apodization damps each momentum mode by the square-root noise weight
-    at scaled energy offset y = eps (p^2/2m + V - E0) / alpha, the phase-space
-    energy of the mode.  At fixed mode and shrinking eps the offset vanishes,
-    which is what makes the no-apodization limit attainable; weighting by the
+    The apodization is applied separably: each momentum mode is damped by the
+    square-root noise weight at its kinetic offset eps (p^2/2m - E0) / alpha,
+    and each source node by the weight at its potential offset eps V / alpha.
+    Both factors have modulus at most 1, so the kernel is a contraction, and
+    both offsets vanish as eps shrinks at fixed mode and node, which is what
+    makes the no-apodization limit attainable.  Weighting by the
     velocity-form kinetic energy m (x'-x)^2 / (2 eps^2) instead would diverge
     on the dominant rough paths and pin the propagation away from the plain
     kernel at every step size.
@@ -254,17 +248,10 @@ def build_kernel(params: ParticleParams, grid: StateGrid) -> KernelMatrix:
     symbol = np.exp(-1j * params.eps * params.alpha * k**2 / (2.0 * params.mass))
     vphase = np.exp(-1j * params.eps * v / params.alpha)
     kinetic = (params.alpha * k) ** 2 / (2.0 * params.mass)
-    if params.apodization == "none" or (params.potential == "free" and np.all(v == 0.0)):
-        # energy offset is mode-diagonal: the kernel stays a convolution
-        y = params.eps * (kinetic - params.e0) / params.alpha
-        damped = symbol * params.apodization_factor(y)
-        return KernelMatrix(grid, params, damped, vphase)
-    # per-source-node damping of every momentum mode; peak: the energy
-    # offsets y, the damped mode columns, the gather indices and the entries
-    _check_dense_budget(grid.size, 48, "apodized kernel")
-    y = params.eps * (kinetic[:, None] + v[None, :] - params.e0) / params.alpha
-    columns = np.fft.ifft(symbol[:, None] * params.apodization_factor(y), axis=0)
-    return KernelMatrix(grid, params, None, None, _dense_entries(columns, vphase))
+    # a(0) == 1.0 exactly, so an undamped mode or node keeps its bits
+    symbol *= params.apodization_factor(params.eps * (kinetic - params.e0) / params.alpha)
+    vphase *= params.apodization_factor(params.eps * v / params.alpha)
+    return KernelMatrix(grid, params, symbol, vphase)
 
 
 @dataclass(frozen=True, eq=False)
@@ -289,7 +276,7 @@ def propagate(
         kernel = build_kernel(params, psi0.grid)
     if kernel.grid is not psi0.grid and kernel.grid.size != psi0.grid.size:
         raise DimensionMismatch("kernel grid does not match the state grid")
-    if kernel.symbol is not None and np.all(kernel.vphase == 1.0):
+    if np.all(kernel.vphase == 1.0):
         # a pure convolution: K^steps is the symbol to the power steps
         values = np.fft.ifft(kernel.symbol**steps * np.fft.fft(psi0.values))
     else:
@@ -321,8 +308,7 @@ def reference_solver(
     # 45 and 41 B per entry of resident memory at K=801 and 2001
     _check_dense_budget(size, 48, "reference Hamiltonian")
     kinetic = (params.alpha * grid.wavenumbers()) ** 2 / (2.0 * params.mass)
-    column = np.fft.ifft(kinetic).real[:, None]
-    hamiltonian = _dense_entries(np.broadcast_to(column, (size, size)), np.ones(size))
+    hamiltonian = _dense_entries(np.fft.ifft(kinetic).real, np.ones(size))
     hamiltonian.flat[:: size + 1] += params.potential_values(grid)
     energies, modes = np.linalg.eigh(hamiltonian)
     rotation = np.exp(-1j * energies * total_time / params.alpha)
@@ -602,8 +588,12 @@ def convergence_study(
 
     The reference is :func:`reference_solver`, exp(-iHt/alpha) of the grid
     Hamiltonian the kernel splits, so each measured L2 error is the kernel's
-    Trotter error alone.
+    Trotter error alone.  Without a potential or an apodization the kernel is
+    exact in time, every error is round-off and there is no order to fit, so
+    that case raises :class:`ConfigError`.
     """
+    if params.apodization == "none" and not np.any(params.potential_values(grid)):
+        raise ConfigError("the kernel is exact in time without a potential or an apodization")
     eps_values = sorted(float(e) for e in eps_values)
     psi0 = state_factory(grid)
     ref = reference_solver(psi0, params, total_time)

@@ -261,6 +261,12 @@ class TestCommands:
         assert run_in(tmp_path, ["quantum-compare", "--refine", "4"]) == 1
         assert "unrecognized arguments: --refine" in capsys.readouterr().err
 
+    def test_compare_without_an_order_to_fit_exit_1(self, tmp_path, capsys):
+        argv = ["quantum-compare", "--potential", "free", "--out", "qc.csv"]
+        assert run_in(tmp_path, argv) == 1
+        assert "exact in time" in capsys.readouterr().err
+        assert not (tmp_path / "qc.csv").exists()
+
     def test_no_command_exit_1(self, tmp_path):
         assert run_in(tmp_path, []) == 1
 

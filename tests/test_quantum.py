@@ -13,6 +13,7 @@ from qal.grid import StateGrid
 from qal.quantum import (
     ParticleParams,
     WaveState,
+    _aligned_l2_distance,
     apodization_study,
     build_kernel,
     classical_path_check,
@@ -93,24 +94,36 @@ class TestKernel:
         assert ParticleParams(eps=1e-3).tau == 0.0
 
 
-def eager_matrix(params, grid):
-    """Oracle: the dense entries as every kernel once built them up front."""
+def kernel_parts(params, grid):
+    """Potential, bare symbol and phase, kinetic energy and circulant offsets."""
     v = params.potential_values(grid)
     k = grid.wavenumbers()
     symbol = np.exp(-1j * params.eps * params.alpha * k**2 / (2.0 * params.mass))
     vphase = np.exp(-1j * params.eps * v / params.alpha)
     kinetic = (params.alpha * k) ** 2 / (2.0 * params.mass)
-    size = grid.size
-    offsets = (np.arange(size)[:, None] - np.arange(size)[None, :]) % size
+    offsets = (np.arange(grid.size)[:, None] - np.arange(grid.size)[None, :]) % grid.size
+    return v, symbol, vphase, kinetic, offsets
+
+
+def eager_matrix(params, grid):
+    """Oracle: the dense entries built up front, the damped symbol's circulant
+    columns times the damped potential phase on the source node."""
+    v, symbol, vphase, kinetic, offsets = kernel_parts(params, grid)
     if params.apodization == "none":
         return np.fft.ifft(symbol)[offsets] * vphase[None, :]
-    if params.potential == "free":
-        y = params.eps * (kinetic - params.e0) / params.alpha
-        column = np.fft.ifft(symbol * params.apodization_factor(y))
-        return column[offsets] * vphase[None, :]
+    y = params.eps * (kinetic - params.e0) / params.alpha
+    column = np.fft.ifft(symbol * params.apodization_factor(y))
+    damped = vphase * params.apodization_factor(params.eps * v / params.alpha)
+    return column[offsets] * damped[None, :]
+
+
+def joint_matrix(params, grid):
+    """Oracle: the joint apodization, every mode damped at its phase-space
+    energy offset eps (p^2/2m + V(x) - E0) / alpha at each source node x."""
+    v, symbol, vphase, kinetic, offsets = kernel_parts(params, grid)
     y = params.eps * (kinetic[:, None] + v[None, :] - params.e0) / params.alpha
     columns = np.fft.ifft(symbol[:, None] * params.apodization_factor(y), axis=0)
-    return columns[offsets, np.arange(size)[None, :]] * vphase[None, :]
+    return columns[offsets, np.arange(grid.size)[None, :]] * vphase[None, :]
 
 
 KERNEL_CASES = {
@@ -120,6 +133,10 @@ KERNEL_CASES = {
     "harmonic": ParticleParams(eps=1e-3, potential="harmonic", omega=1.0),
     "harmonic-gaussian": ParticleParams(
         eps=1e-2, potential="harmonic", apodization="gaussian", sigma_y=0.5
+    ),
+    # clips high modes and, on the 6.0 test grid, the outer nodes
+    "harmonic-window": ParticleParams(
+        eps=1e-2, potential="harmonic", apodization="window", window=0.2
     ),
 }
 
@@ -157,17 +174,19 @@ class TestLazyKernel:
         params = KERNEL_CASES[case]
         grid = make_grid(6.0, 0.1)
         kern = build_kernel(params, grid)
-        assert ("matrix" in vars(kern)) == kern.apodized  # dense only when needed
+        assert "matrix" not in vars(kern)  # dense only when read
         assert np.array_equal(kern.matrix, eager_matrix(params, grid))
         assert kern.matrix is kern.matrix
 
-    @pytest.mark.parametrize("case", ["plain", "free-gaussian", "harmonic"])
+    @pytest.mark.parametrize(
+        "case", ["plain", "free-gaussian", "harmonic", "harmonic-gaussian", "harmonic-window"]
+    )
     def test_convolution_build_is_linear_in_memory(self, case):
         grid = big_grid(4001)
         kernels = []
         peak = traced_peak(lambda: kernels.append(build_kernel(KERNEL_CASES[case], grid)))
         assert peak < 1 << 20
-        assert not kernels[0].apodized and "matrix" not in vars(kernels[0])
+        assert "matrix" not in vars(kernels[0])
 
     def test_dense_view_refused_over_budget_before_allocating(self):
         kern = build_kernel(KERNEL_CASES["plain"], big_grid(20001))
@@ -182,16 +201,36 @@ class TestLazyKernel:
         assert "matrix" not in vars(kern)
         assert np.all(np.isfinite(kern.apply(np.ones(20001))))  # the FFT path still runs
 
-    def test_dense_build_refused_over_budget_before_allocating(self):
-        params = KERNEL_CASES["harmonic-gaussian"]
 
-        def build():
-            with capped_address_space(), pytest.raises(
-                SizeGuardExceeded, match=str(48 * 20001**2)
-            ):
-                build_kernel(params, big_grid(20001))
+class TestSeparableApodization:
+    @staticmethod
+    def trap(eps, shape, **kwargs):
+        return ParticleParams(eps=eps, potential="harmonic", omega=1.0, apodization=shape, **kwargs)
 
-        assert traced_peak(build) < 4 << 20
+    def test_gaussian_agrees_with_the_joint_kernel_to_first_order(self):
+        grid = StateGrid.from_range(-10.0, 10.0, 401)
+        psi0 = WaveState.gaussian(grid, sigma=1.0)
+        distances = []
+        for eps in (4e-3, 2e-3, 1e-3):
+            params = self.trap(eps, "gaussian", sigma_y=1.0)
+            steps = int(round(1.0 / eps))
+            split = propagate(psi0, params, steps).state.values
+            joint, values = joint_matrix(params, grid), psi0.values
+            for _ in range(steps):
+                values = joint @ values
+            joint_state = WaveState(grid, values).normalized()
+            distances.append(_aligned_l2_distance(split, joint_state.values, grid.dx))
+        assert distances[0] / distances[1] == pytest.approx(2.0, rel=0.05)
+        assert distances[1] / distances[2] == pytest.approx(2.0, rel=0.05)
+
+    def test_window_trap_kernel_is_a_contraction(self):
+        grid = StateGrid.from_range(-20.0, 20.0, 801)
+        psi0 = WaveState.gaussian(grid, sigma=1.0)
+        params = self.trap(1e-3, "window", window=2.0)
+        result = propagate(psi0, params, 1000)
+        plain = propagate(psi0, dataclasses.replace(params, apodization="none"), 1000)
+        assert result.accumulated_norm <= 1.0 + 1e-12
+        assert _aligned_l2_distance(result.state.values, plain.state.values, grid.dx) <= 1e-8
 
 
 class TestClosedFormPower:
