@@ -257,48 +257,42 @@ def symmetrizing_misreads(bare: BareDistribution, loss_rates) -> QRuleParams:
     return QRuleParams(gamma, misreads)
 
 
-def _channel_tables(rules: QRuleParams) -> tuple[np.ndarray, np.ndarray]:
-    """Per-column decision edges and misread target indices.
-
-    Column l of ``edges`` partitions the unit interval into: lost below
-    edges[0], misread as others[k] between edges[k] and edges[k+1], correct
-    read above edges[-1].
-    """
-    m = rules.m
-    others = np.empty((m - 1, m), dtype=np.intp)
-    edges = np.empty((m, m), dtype=float)
-    for l in range(m):
-        rest = np.array([j for j in range(m) if j != l], dtype=np.intp)
-        others[:, l] = rest
-        edges[0, l] = rules.loss_rates[l]
-        edges[1:, l] = rules.loss_rates[l] + np.cumsum(rules.misreads[rest, l])
-    return edges, others
-
-
 def sample_readings(
     bare: BareDistribution,
     rules: QRuleParams,
     rng: np.random.Generator,
-    size: int,
+    size: int | tuple[int, ...],
 ) -> np.ndarray:
-    """Vector of reading outcomes; ``LOST`` marks lost draws.
+    """Array of reading outcomes of the given shape; ``LOST`` marks lost draws.
 
     Two-step generative algorithm per draw: pick the true outcome from the
     bare distribution, then resolve the reading (lost / misread / correct).
+    The uniforms come from one ``rng.random(shape[:-1] + (2, shape[-1]))``:
+    each trailing row draws its true-outcome uniforms, then its read
+    uniforms.  A ``(R, n)`` call therefore consumes the stream exactly as R
+    consecutive ``size=n`` calls do and returns the same readings.
     """
     _check_same_m(bare, rules.m, "sample_readings")
-    cum = np.cumsum(bare.probs)
-    cum[-1] = 1.0
-    true_idx = np.searchsorted(cum, rng.random(size), side="right")
-    edges, others = _channel_tables(rules)
-    u = rng.random(size)
-    # position of u within the decision edges of each draw's true column
-    pos = (u[None, :] >= edges[:, true_idx]).sum(axis=0)
-    out = np.where(pos == 0, LOST, true_idx)
-    misread = (pos > 0) & (pos < rules.m)
-    if np.any(misread):
-        out[misread] = others[pos[misread] - 1, true_idx[misread]]
-    return out
+    m = rules.m
+    shape = (size,) if np.ndim(size) == 0 else tuple(size)
+    u = rng.random(shape[:-1] + (2, shape[-1]))
+    true_u, read_u = u[..., 0, :], u[..., 1, :]
+    # true index: cumulative weights at or below the uniform, the last taken as 1
+    true_idx = np.zeros(shape, dtype=np.intp)
+    for c in np.cumsum(bare.probs)[:-1]:
+        true_idx += true_u >= c
+    # Column l partitions the read uniform: lost below edges[0, l], misread as
+    # others[k - 1, l] from edges[k, l], correct read from edges[m - 1, l] on.
+    rows = np.arange(m - 1)[:, None]
+    others = rows + (rows >= np.arange(m))
+    reach = rules.loss_rates + np.cumsum(rules.misreads, axis=0)
+    edges = np.vstack([rules.loss_rates, np.take_along_axis(reach, others, axis=0)])
+    outcomes = np.vstack([np.full(m, LOST), others, np.arange(m)]).ravel()
+    # flat index into outcomes: m per edge passed, plus the true column
+    pos = true_idx.copy()
+    for edge in edges:
+        pos += m * (read_u >= edge.take(true_idx))
+    return outcomes.take(pos)
 
 
 def sample_reading(

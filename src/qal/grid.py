@@ -1,4 +1,4 @@
-"""Uniform one-dimensional state grids shared by the game and wave modules."""
+"""Uniform 1-d state grids shared by the game and wave modules; dense K×K byte budget."""
 
 from __future__ import annotations
 
@@ -6,9 +6,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, OffGridImage
+from .errors import DimensionMismatch, OffGridImage, SizeGuardExceeded
 
 _UNIFORMITY_ATOL = 1e-12
+
+#: most bytes a dense K×K build or view may allocate; larger grids are
+#: refused before any K×K array exists
+KERNEL_BYTE_BUDGET = 1 << 31
+
+
+def check_dense_budget(size: int, bytes_per_entry: int, what: str) -> None:
+    need = bytes_per_entry * size**2
+    if need > KERNEL_BYTE_BUDGET:
+        raise SizeGuardExceeded(f"{what}: ~{need} bytes for {size} nodes > {KERNEL_BYTE_BUDGET}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -10,6 +10,7 @@ path carries a square-root weight and a phase.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -24,7 +25,7 @@ from .core import (
     symmetric_coupling,
 )
 from .errors import DimensionMismatch, SizeGuardExceeded
-from .grid import StateGrid
+from .grid import StateGrid, check_dense_budget
 from .paths import ConstraintSet, PhaseAssignment, all_paths, constraints_for_pairs
 
 __all__ = [
@@ -44,6 +45,8 @@ __all__ = [
 PATH_SUM_GUARD = 10**7
 JOINT_GUARD = 10**7
 DEFAULT_BLOCK = 4096
+# most trial-rounds of readings a block draws at once, so memory does not grow with rounds
+_CHUNK_DRAWS = 1 << 17
 
 
 def make_map(name: str, **params) -> Callable[[np.ndarray], np.ndarray]:
@@ -141,15 +144,19 @@ def _simulate_block(
 ) -> tuple[np.ndarray, np.ndarray]:
     x = np.full(count, float(x0))
     frozen = np.zeros(count, dtype=np.int64)
-    for _ in range(rounds):
-        reads = sample_readings(spec.noise, spec.rules, rng, count)
+    chunk = max(1, _CHUNK_DRAWS // count)
+    for first in range(0, rounds, chunk):
+        reads = sample_readings(spec.noise, spec.rules, rng, (min(chunk, rounds - first), count))
         lost = reads == LOST
-        frozen += lost
-        live = ~lost
-        if np.any(live):
-            y = spec.noise.labels[reads[live]]
-            xk = x[live]
-            x[live] = spec.drift(xk) + spec.gain(xk) * y
+        frozen += lost.sum(axis=0)
+        for row, lost_row in zip(reads, lost):
+            # the maps see live trials only: a table map need not cover a
+            # frozen trial's state
+            live = np.flatnonzero(~lost_row)
+            if live.size:
+                xk = x.take(live)
+                y = spec.noise.labels.take(row.take(live))
+                x[live] = spec.drift(xk) + spec.gain(xk) * y
     return x, frozen
 
 
@@ -198,24 +205,45 @@ def simulate_game(
 
 @dataclass(frozen=True, eq=False)
 class TransitionKernel:
-    """One-step law on the grid: read moves plus per-column frozen mass.
+    """One-step law on the grid, held as its (M, K) image table.
 
-    ``read_matrix[k', k]`` is the probability of moving to node k' from node
-    k via a successful reading; ``freeze[k]`` is the lost-reading mass that
-    stays at k.  The full column-stochastic matrix is ``matrix``.
+    A successful reading of label j moves node k to node ``table[j, k]`` with
+    observed probability ``probs[j]``; a lost reading keeps the state with
+    probability ``defect``.  The dense views are built only when read:
+    ``read_matrix[k', k]`` (cached) is the read probability of k -> k',
+    ``freeze`` the defect on every node and ``matrix`` the column-stochastic
+    ``read_matrix + diag(freeze)``.  Each is refused with SizeGuardExceeded,
+    naming its bytes, above ``grid.KERNEL_BYTE_BUDGET``.
     """
 
-    read_matrix: np.ndarray
-    freeze: np.ndarray
+    table: np.ndarray
+    probs: np.ndarray
+    defect: float
     grid: StateGrid
 
     def __post_init__(self) -> None:
-        cols = self.read_matrix.sum(axis=0) + self.freeze
-        if np.max(np.abs(cols - 1.0)) > 1e-12:
+        if self.table.shape != (self.probs.size, self.grid.size):
+            raise DimensionMismatch("image table must have one row per label, one column per node")
+        if abs(self.probs.sum() + self.defect - 1.0) > 1e-12:
             raise ValueError("kernel columns must sum to one including frozen mass")
+
+    @functools.cached_property
+    def read_matrix(self) -> np.ndarray:
+        check_dense_budget(self.grid.size, 8, "dense read matrix")
+        read = np.zeros((self.grid.size, self.grid.size))
+        cols = np.arange(self.grid.size)
+        for targets, p in zip(self.table, self.probs):
+            read[targets, cols] += p
+        return read
+
+    @property
+    def freeze(self) -> np.ndarray:
+        return np.full(self.grid.size, self.defect)
 
     @property
     def matrix(self) -> np.ndarray:
+        # the cached read matrix, the diagonal and their sum
+        check_dense_budget(self.grid.size, 24, "dense kernel matrix")
         return self.read_matrix + np.diag(self.freeze)
 
 
@@ -223,13 +251,8 @@ def _image_table(spec: GameSpec, grid: StateGrid, boundary: str = "error") -> np
     """Node index reached from each node under each label: shape (M, K)."""
     if boundary not in ("error", "wrap"):
         raise ValueError(f"boundary must be 'error' or 'wrap', got {boundary!r}")
-    nodes = grid.nodes
-    base = spec.drift(nodes)
-    gains = spec.gain(nodes)
-    table = np.empty((spec.noise.m, grid.size), dtype=np.int64)
-    for j, y in enumerate(spec.noise.labels):
-        table[j] = grid.snap_indices(base + gains * y, wrap=boundary == "wrap")
-    return table
+    images = spec.drift(grid.nodes) + spec.gain(grid.nodes) * spec.noise.labels[:, None]
+    return grid.snap_indices(images, wrap=boundary == "wrap")
 
 
 def effective_kernel(
@@ -244,13 +267,7 @@ def effective_kernel(
     """
     eff = effective_distribution(spec.noise, spec.rules)
     table = _image_table(spec, grid, boundary)
-    k = grid.size
-    read = np.zeros((k, k))
-    cols = np.arange(k)
-    for j in range(spec.noise.m):
-        np.add.at(read, (table[j], cols), eff.probs[j])
-    freeze = np.full(k, eff.defect)
-    return TransitionKernel(read_matrix=read, freeze=freeze, grid=grid)
+    return TransitionKernel(table=table, probs=eff.probs, defect=eff.defect, grid=grid)
 
 
 def propagate_distribution(
@@ -261,19 +278,24 @@ def propagate_distribution(
 ) -> np.ndarray:
     """Apply the kernel ``steps`` times to a distribution on the grid.
 
-    With ``include_frozen`` the full column-stochastic matrix is used and
-    mass is conserved; without it only successful reads propagate and the
-    total shrinks by the defect each step.
+    Each step scatters ``probs[j] * v`` onto the images ``table[j]`` with one
+    ``bincount``: O(M K), no K×K matrix, equal to ``kernel.matrix @ v`` up to
+    summation order.  With ``include_frozen`` the frozen mass ``defect * v``
+    stays in place and mass is conserved; without it only successful reads
+    propagate and the total shrinks by the defect each step.
     """
     e0 = np.asarray(e0, dtype=float)
     if e0.size != kernel.grid.size:
         raise DimensionMismatch("distribution does not match the kernel grid")
     if steps < 0:
         raise ValueError("steps must be non-negative")
-    matrix = kernel.matrix if include_frozen else kernel.read_matrix
+    targets = kernel.table.ravel()
     v = e0.copy()
     for _ in range(steps):
-        v = matrix @ v
+        moved = np.bincount(
+            targets, weights=np.multiply.outer(kernel.probs, v).ravel(), minlength=v.size
+        )
+        v = moved + kernel.defect * v if include_frozen else moved
     return v
 
 
@@ -333,7 +355,6 @@ def amplitude_propagate(
             theta = np.broadcast_to(theta, (steps, m)).copy()
         if theta.shape != (steps, m):
             raise DimensionMismatch(f"per-step phases must have shape ({steps}, {m})")
-    cols = np.arange(k)
     for n in range(steps):
         weights = sqrtp * np.exp(1j * theta[n])
         nxt = np.zeros(k, dtype=complex)
@@ -359,28 +380,12 @@ def endpoint_constraints(
     coupling = symmetric_coupling(spec.noise, spec.rules.loss_rates)
     paths_arr = all_paths(spec.noise.m, steps)
     table = _image_table(spec, grid, boundary)
-    start = grid.snap_index(x0)
-    ends = np.empty(paths_arr.shape[0], dtype=np.int64)
-    for idx, path in enumerate(paths_arr):
-        cur = start
-        for label in path:
-            cur = int(table[label, cur])
-        ends[idx] = cur
-    pair_i_list = []
-    pair_j_list = []
-    for node in np.unique(ends):
-        members = np.nonzero(ends == node)[0]
-        if members.size < 2:
-            continue
-        ii, jj = np.triu_indices(members.size, k=1)
-        pair_i_list.append(members[ii])
-        pair_j_list.append(members[jj])
-    if pair_i_list:
-        pair_i = np.concatenate(pair_i_list)
-        pair_j = np.concatenate(pair_j_list)
-    else:
-        pair_i = np.zeros(0, dtype=np.int64)
-        pair_j = np.zeros(0, dtype=np.int64)
+    ends = np.full(paths_arr.shape[0], grid.snap_index(x0))
+    for labels in paths_arr.T:
+        ends = table[labels, ends]
+    groups = (np.flatnonzero(ends == node) for node in np.unique(ends))
+    pairs = [g[np.array(np.triu_indices(g.size, k=1))] for g in groups]
+    pair_i, pair_j = np.concatenate(pairs, axis=1)
     return constraints_for_pairs(spec.noise, coupling, paths_arr, pair_i, pair_j)
 
 
@@ -410,10 +415,8 @@ class JointDensity:
         """Distribution of the state after ``step`` rounds (1-based)."""
         if not 1 <= step <= self.steps:
             raise ValueError("step out of range")
-        out = np.zeros(self.grid.size)
-        for seq, p in zip(self.sequences, self.probs):
-            out[seq[step - 1]] += p
-        return out
+        nodes = np.array(self.sequences, dtype=np.intp).reshape(-1, self.steps)[:, step - 1]
+        return np.bincount(nodes, weights=self.probs, minlength=self.grid.size)
 
 
 def joint_path_density(
@@ -426,16 +429,17 @@ def joint_path_density(
         raise SizeGuardExceeded("state-sequence table exceeds the size guard")
     kernel = effective_kernel(spec, grid, boundary)
     start = grid.snap_index(x0)
-    read = kernel.read_matrix
     table: dict[tuple[int, ...], float] = {}
 
     def descend(node: int, depth: int, prefix: tuple[int, ...], prob: float) -> None:
         if depth == steps:
-            table[prefix] = table.get(prefix, 0.0) + prob
+            table[prefix] = prob
             return
-        col = read[:, node]
-        for nxt in np.nonzero(col)[0]:
-            descend(int(nxt), depth + 1, prefix + (int(nxt),), prob * float(col[nxt]))
+        # labels landing on the same node merge into one move
+        targets, which = np.unique(kernel.table[:, node], return_inverse=True)
+        for nxt, p in zip(targets.tolist(), np.bincount(which, weights=kernel.probs).tolist()):
+            if p:
+                descend(nxt, depth + 1, prefix + (nxt,), prob * p)
 
     descend(start, 0, (), 1.0)
     sequences = tuple(sorted(table))

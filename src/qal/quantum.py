@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatch, PhaseWrapGuard, SizeGuardExceeded
-from .grid import StateGrid
+from .errors import ConfigError, DimensionMismatch, PhaseWrapGuard
+from .grid import StateGrid, check_dense_budget
 
 __all__ = [
     "ParticleParams",
@@ -179,17 +179,6 @@ class WaveState:
         return cls(grid, envelope * phase).normalized()
 
 
-#: most bytes a dense kernel build or view may allocate; larger grids are
-#: refused before any K×K array exists
-KERNEL_BYTE_BUDGET = 1 << 31
-
-
-def _check_dense_budget(size: int, bytes_per_entry: int, what: str) -> None:
-    need = bytes_per_entry * size**2
-    if need > KERNEL_BYTE_BUDGET:
-        raise SizeGuardExceeded(f"{what}: ~{need} bytes for {size} nodes > {KERNEL_BYTE_BUDGET}")
-
-
 def _dense_entries(column: np.ndarray, vphase: np.ndarray) -> np.ndarray:
     """Entry (i, j) = column[(i - j) mod K] * vphase[j]."""
     source = np.arange(vphase.size)
@@ -218,7 +207,7 @@ class KernelMatrix:
     @functools.cached_property
     def matrix(self) -> np.ndarray:
         # peak: int64 gather indices and the complex entries
-        _check_dense_budget(self.grid.size, 24, "dense kernel view")
+        check_dense_budget(self.grid.size, 24, "dense kernel view")
         return _dense_entries(np.fft.ifft(self.symbol), self.vphase)
 
     def apply(self, values: np.ndarray) -> np.ndarray:
@@ -306,7 +295,7 @@ def reference_solver(
     size = grid.size
     # peak, while eigh holds H, its LAPACK copy and workspace and the modes:
     # 45 and 41 B per entry of resident memory at K=801 and 2001
-    _check_dense_budget(size, 48, "reference Hamiltonian")
+    check_dense_budget(size, 48, "reference Hamiltonian")
     kinetic = (params.alpha * grid.wavenumbers()) ** 2 / (2.0 * params.mass)
     hamiltonian = _dense_entries(np.fft.ifft(kinetic).real, np.ones(size))
     hamiltonian.flat[:: size + 1] += params.potential_values(grid)
@@ -519,20 +508,23 @@ def roughness_scan(
     points = []
     for eps, stream in zip(eps_values, streams):
         if mode == "classical":
-            xs = offset + velocity * eps * np.arange(n_steps + 1)
-            xs = xs[None, :]
+            xs = (offset + velocity * eps * np.arange(n_steps + 1))[None, :]
+            increments = np.empty((1, n_steps))
         else:
             rng = np.random.default_rng(stream)
             scale = np.sqrt(eps * params.alpha / params.mass)
             increments = rng.normal(0.0, scale, size=(n_samples, n_steps))
-            xs = offset + np.concatenate(
-                [np.zeros((n_samples, 1)), np.cumsum(increments, axis=1)], axis=1
-            )
+            xs = np.zeros((n_samples, n_steps + 1))
+            np.cumsum(increments, axis=1, out=xs[:, 1:])
+            xs += offset
         if dx is not None:
-            xs = np.rint(xs / dx) * dx
-        steps_sq = np.diff(xs, axis=1) ** 2
-        mean_sq = float(np.mean(steps_sq))
+            np.divide(xs, dx, out=xs)
+            np.rint(xs, out=xs)
+            np.multiply(xs, dx, out=xs)
+        np.subtract(xs[:, 1:], xs[:, :-1], out=increments)
+        mean_sq = float(np.mean(np.square(increments, out=increments)))
         points.append(RoughnessPoint(eps, mean_sq, mean_sq / eps))
+        del xs, increments  # freed before the next eps draws its own
     return RoughnessReport(mode=mode, points=tuple(points))
 
 

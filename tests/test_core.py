@@ -192,7 +192,42 @@ class TestSymmetrizingMisreads:
         assert np.all(eff.probs <= P.probs + ATOL)
 
 
+def searchsorted_readings(P, Q, rng, size):
+    """Oracle: the per-call sampler with searchsorted and per-column edge tables."""
+    cum = np.cumsum(P.probs)
+    cum[-1] = 1.0
+    true_idx = np.searchsorted(cum, rng.random(size), side="right")
+    m = Q.m
+    others = np.empty((m - 1, m), dtype=np.intp)
+    edges = np.empty((m, m))
+    for l in range(m):
+        rest = np.array([j for j in range(m) if j != l], dtype=np.intp)
+        others[:, l] = rest
+        edges[0, l] = Q.loss_rates[l]
+        edges[1:, l] = Q.loss_rates[l] + np.cumsum(Q.misreads[rest, l])
+    pos = (rng.random(size)[None, :] >= edges[:, true_idx]).sum(axis=0)
+    out = np.where(pos == 0, LOST, true_idx)
+    misread = (pos > 0) & (pos < m)
+    out[misread] = others[pos[misread] - 1, true_idx[misread]]
+    return out
+
+
 class TestSampling:
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_shaped_call_equals_consecutive_calls_and_the_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        P, Q = random_instance(rng, m_max=4)
+        rounds, n = int(rng.integers(1, 6)), int(rng.integers(1, 300))
+        shaped = sample_readings(P, Q, np.random.default_rng(seed), (rounds, n))
+        stream = np.random.default_rng(seed)
+        consecutive = [sample_readings(P, Q, stream, n) for _ in range(rounds)]
+        stream = np.random.default_rng(seed)
+        oracle = [searchsorted_readings(P, Q, stream, n) for _ in range(rounds)]
+        assert shaped.shape == (rounds, n)
+        assert np.array_equal(shaped, consecutive)
+        assert np.array_equal(shaped, oracle)
+
     def test_identity_channel_frequencies(self):
         P = bare([0.5, 0.3, 0.2])
         rng = np.random.default_rng(11)

@@ -1,13 +1,19 @@
 """Games driven by the reading channel: Monte Carlo, kernels, amplitudes."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qal.core import BareDistribution, QRuleParams
-from qal.errors import OffGridImage
+from memory_guards import capped_address_space, traced_peak
+from qal.core import LOST, BareDistribution, QRuleParams, effective_distribution, sample_readings
+from qal.errors import OffGridImage, SizeGuardExceeded
 from qal.grid import StateGrid
 from qal.markov import (
     GameSpec,
+    _image_table,
     _simulate_block,
     amplitude_propagate,
     block_seed_sequences,
@@ -18,7 +24,8 @@ from qal.markov import (
     propagate_distribution,
     simulate_game,
 )
-from qal.paths import solve_phases
+from qal.paths import all_paths, solve_phases
+from test_core import random_instance
 
 def walk(gamma=0.2):
     return GameSpec.random_walk(QRuleParams.pure_loss([gamma, gamma]))
@@ -30,6 +37,54 @@ def integer_grid(extent):
 
 def binomial_3sigma(p, n):
     return 3.0 * np.sqrt(np.maximum(p * (1.0 - p), 1e-12) * n)
+
+
+def random_game(rng, drift, gain=1.0):
+    """Random channel (M = 2..4, with misreads) over distinct integer labels."""
+    P, Q = random_instance(rng, m_max=4)
+    labels = rng.choice(np.arange(-3.0, 4.0), size=P.m, replace=False)
+    return GameSpec(
+        drift=drift,
+        gain=make_map("constant", value=gain),
+        noise=BareDistribution(labels, P.probs),
+        rules=Q,
+    )
+
+
+def per_round_block(spec, x0, rounds, rng, count):
+    """Oracle: the Monte Carlo block drawing one round of readings per call."""
+    x = np.full(count, float(x0))
+    frozen = np.zeros(count, dtype=np.int64)
+    for _ in range(rounds):
+        reads = sample_readings(spec.noise, spec.rules, rng, count)
+        lost = reads == LOST
+        frozen += lost
+        live = ~lost
+        if np.any(live):
+            y = spec.noise.labels[reads[live]]
+            xk = x[live]
+            x[live] = spec.drift(xk) + spec.gain(xk) * y
+    return x, frozen
+
+
+def per_round_game(spec, x0, rounds, trials, seed, block_size):
+    """Oracle run: per-round blocks over the same block substreams."""
+    streams = block_seed_sequences(seed, trials, block_size)
+    blocks = [
+        per_round_block(spec, x0, rounds, np.random.default_rng(stream), min(block_size, trials - b))
+        for b, stream in zip(range(0, trials, block_size), streams)
+    ]
+    return np.concatenate([b[0] for b in blocks]), np.concatenate([b[1] for b in blocks])
+
+
+def dense_read_matrix(spec, grid, boundary):
+    """Oracle: the K×K read matrix filled with np.add.at from the image table."""
+    table = _image_table(spec, grid, boundary)
+    probs = effective_distribution(spec.noise, spec.rules).probs
+    read = np.zeros((grid.size, grid.size))
+    for j, p in enumerate(probs):
+        np.add.at(read, (table[j], np.arange(grid.size)), p)
+    return read
 
 
 class TestMaps:
@@ -109,6 +164,51 @@ class TestSimulateGame:
             finals[begin : begin + fin.size] = fin
         assert np.array_equal(finals, reference.finals)
 
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_bitwise_equal_to_per_round_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        rounds = int(rng.integers(0, 80))  # past one 32-round chunk of a 4096 block
+        trials = int(rng.integers(1, 6000))
+        block = int(rng.choice([700, 4096]))
+        # a table drift whose support may be too narrow: then both must refuse
+        width = int(rng.integers(0, 3 * rounds + 2))
+        support = np.arange(-width, width + 1.0)
+        drift = rng.choice(
+            [make_map("linear", slope=0.5), make_map("table", xs=support, ys=-support)]
+        )
+        spec = random_game(rng, drift)
+        try:
+            expected = per_round_game(spec, 0.0, rounds, trials, seed, block)
+        except ValueError:
+            with pytest.raises(ValueError, match="off its support"):
+                simulate_game(spec, 0.0, rounds, trials, seed, block_size=block)
+            return
+        run = simulate_game(spec, 0.0, rounds, trials, seed, block_size=block)
+        assert np.array_equal(run.finals, expected[0])
+        assert np.array_equal(run.frozen_counts, expected[1])
+
+    def test_frozen_trial_off_the_table_support_is_never_mapped(self):
+        # the drift table covers only 0, so a trial that has read once must
+        # sit frozen from then on; seed 5 has such trials in the final round
+        spec = GameSpec(
+            drift=make_map("table", xs=[0.0], ys=[0.0]),
+            gain=make_map("constant", value=1.0),
+            noise=BareDistribution(np.array([-1.0, 1.0]), np.array([0.5, 0.5])),
+            rules=QRuleParams.pure_loss([0.8, 0.8]),
+        )
+        before = simulate_game(spec, 0.0, 2, 8, seed=5)
+        run = simulate_game(spec, 0.0, 3, 8, seed=5)
+        off_and_frozen = (before.finals != 0.0) & (run.frozen_counts == before.frozen_counts + 1)
+        assert np.any(off_and_frozen)
+        finals, frozen = per_round_game(spec, 0.0, 3, 8, 5, 4096)
+        assert np.array_equal(run.finals, finals)
+        assert np.array_equal(run.frozen_counts, frozen)
+
+    def test_block_memory_does_not_grow_with_rounds(self):
+        # one 4096-trial block; 2000 rounds of readings at once would be 131 MB
+        assert traced_peak(lambda: simulate_game(walk(), 0.0, 2000, 4096, seed=1)) < 8 << 20
+
     def test_same_seed_same_run(self):
         a = simulate_game(walk(), 0.0, 4, 5000, seed=7)
         b = simulate_game(walk(), 0.0, 4, 5000, seed=7)
@@ -117,6 +217,44 @@ class TestSimulateGame:
 
 
 class TestEffectiveKernel:
+    def test_dense_views_bitwise_equal_the_add_at_build(self):
+        spec = GameSpec(
+            drift=make_map("linear", slope=0.5),
+            gain=make_map("constant", value=1.0),
+            noise=BareDistribution(np.array([-1.0, 1.0, 1.2]), np.array([0.2, 0.3, 0.5])),
+            rules=QRuleParams.pure_loss([0.1, 0.2, 0.3]),
+        )
+        grid = integer_grid(6)
+        kernel = effective_kernel(spec, grid)
+        assert "read_matrix" not in vars(kernel)  # dense only when read
+        read = dense_read_matrix(spec, grid, "error")
+        assert np.array_equal(kernel.read_matrix, read)
+        assert np.array_equal(kernel.matrix, read + np.diag(kernel.freeze))
+
+    def test_image_table_build_is_linear_in_memory(self):
+        # the (2, K) int64 table is 3.2 MB; the dense read matrix would be 320 GB
+        grid = integer_grid(100_000)
+        kernels = []
+        peak = traced_peak(lambda: kernels.append(effective_kernel(walk(), grid, boundary="wrap")))
+        assert peak < 16 << 20
+        assert "read_matrix" not in vars(kernels[0])
+
+    @pytest.mark.parametrize("view, per_entry", [("read_matrix", 8), ("matrix", 24)])
+    def test_dense_view_refused_over_budget_before_allocating(self, view, per_entry):
+        kernel = effective_kernel(walk(), integer_grid(10_000), boundary="wrap")
+
+        def read_view():
+            with capped_address_space(), pytest.raises(
+                SizeGuardExceeded, match=str(per_entry * 20001**2)
+            ):
+                getattr(kernel, view)
+
+        assert traced_peak(read_view) < 1 << 20
+        assert "read_matrix" not in vars(kernel)
+        delta = np.zeros(20001)
+        delta[10_000] = 1.0
+        assert propagate_distribution(delta, kernel, 3).sum() == pytest.approx(1.0, abs=1e-12)
+
     def test_pure_drift_selection_matrix(self):
         spec = GameSpec(
             drift=make_map("linear", slope=-1.0),
@@ -207,6 +345,43 @@ class TestPropagateDistribution:
         out = propagate_distribution(delta, kernel, 10**4)
         assert abs(out.sum() - 1.0) <= 1e-10
 
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_within_round_off_of_dense_matvecs(self, seed):
+        rng = np.random.default_rng(seed)
+        boundary = rng.choice(["wrap", "error"])
+        grid = integer_grid(int(rng.integers(8, 40)))
+        # under 'error' a contracting drift keeps every image on the grid
+        slope = 1.0 if boundary == "wrap" else 0.5
+        spec = random_game(rng, make_map("linear", slope=slope))
+        kernel = effective_kernel(spec, grid, boundary=boundary)
+        e0 = rng.dirichlet(np.ones(grid.size))
+        read = dense_read_matrix(spec, grid, boundary)
+        steps = 30
+        # each step rounds at most M+1 terms per entry on either side, and a
+        # (sub)stochastic step does not grow an error's 1-norm
+        bound = 2 * steps * (spec.noise.m + 1) * np.finfo(float).eps
+        for include_frozen in (True, False):
+            matrix = read + np.diag(kernel.freeze) if include_frozen else read
+            expected = e0.copy()
+            for _ in range(steps):
+                expected = matrix @ expected
+            out = propagate_distribution(e0, kernel, steps, include_frozen=include_frozen)
+            assert np.sum(np.abs(out - expected)) <= bound
+
+    def test_walk_within_1e_15_of_dense_matvecs(self):
+        grid = StateGrid.from_range(-200, 200, 401)
+        kernel = effective_kernel(walk(), grid, boundary="wrap")
+        delta = np.zeros(grid.size)
+        delta[grid.snap_index(0.0)] = 1.0
+        expected = delta
+        matrix = dense_read_matrix(walk(), grid, "wrap") + np.diag(kernel.freeze)
+        for _ in range(500):
+            expected = matrix @ expected
+        out = propagate_distribution(delta, kernel, 500)
+        assert np.max(np.abs(out - expected)) <= 1e-15
+        assert abs(out.sum() - 1.0) <= 1e-12
+
     def test_reads_only_total_shrinks(self):
         grid = integer_grid(4)
         kernel = effective_kernel(walk(), grid, boundary="wrap")
@@ -276,7 +451,67 @@ class TestAmplitudePropagate:
         assert psi1[right] == pytest.approx(np.sqrt(0.5) * 1j, abs=1e-12)
 
 
+class TestEndpointConstraints:
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_pairs_equal_the_per_path_walk(self, seed):
+        rng = np.random.default_rng(seed)
+        spec = random_game(rng, make_map("linear", slope=float(rng.choice([1.0, -1.0, 2.0]))))
+        grid = integer_grid(int(rng.integers(3, 12)))
+        steps = int(rng.integers(1, 5))
+        table = _image_table(spec, grid, "wrap")
+        ends = []
+        for path in all_paths(spec.noise.m, steps):
+            cur = grid.snap_index(0.0)
+            for label in path:
+                cur = int(table[label, cur])
+            ends.append(cur)
+        ends = np.array(ends)
+        expected = [
+            pair
+            for node in np.unique(ends)
+            for pair in itertools.combinations(np.flatnonzero(ends == node).tolist(), 2)
+        ]
+        constraints = endpoint_constraints(spec, grid, 0.0, steps, boundary="wrap")
+        assert list(zip(constraints.pair_i.tolist(), constraints.pair_j.tolist())) == expected
+
+
+def dense_joint_density(spec, grid, x0, steps):
+    """Oracle: descend the columns of the dense read matrix."""
+    read = dense_read_matrix(spec, grid, "wrap")
+    table = {}
+
+    def descend(node, prefix, prob):
+        if len(prefix) == steps:
+            table[prefix] = prob
+            return
+        col = read[:, node]
+        for nxt in np.nonzero(col)[0]:
+            descend(int(nxt), prefix + (int(nxt),), prob * float(col[nxt]))
+
+    descend(grid.snap_index(x0), (), 1.0)
+    return tuple(sorted(table)), np.array([table[k] for k in sorted(table)])
+
+
 class TestJointPathDensity:
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_bitwise_equal_to_dense_descent(self, seed):
+        rng = np.random.default_rng(seed)
+        # gain 0.4 snaps neighbouring labels onto one node: their moves merge
+        spec = random_game(rng, make_map("identity"), gain=float(rng.choice([0.4, 1.0])))
+        grid = integer_grid(int(rng.integers(3, 8)))
+        steps = int(rng.integers(1, 4))
+        density = joint_path_density(spec, grid, 0.0, steps, boundary="wrap")
+        sequences, probs = dense_joint_density(spec, grid, 0.0, steps)
+        assert density.sequences == sequences
+        assert np.array_equal(density.probs, probs)
+        for step in range(1, steps + 1):
+            expected = np.zeros(grid.size)
+            for seq, p in zip(sequences, probs):
+                expected[seq[step - 1]] += p
+            assert np.array_equal(density.marginal(step), expected)
+
     def test_single_step_is_the_per_step_law(self):
         grid = integer_grid(3)
         density = joint_path_density(walk(), grid, 0.0, 1, boundary="wrap")

@@ -1,13 +1,11 @@
 """Transfer-matrix propagation, reference solver, and analytic oracles."""
 
-import contextlib
 import dataclasses
-import resource
-import tracemalloc
 
 import numpy as np
 import pytest
 
+from memory_guards import capped_address_space, traced_peak
 from qal.errors import PhaseWrapGuard, SizeGuardExceeded
 from qal.grid import StateGrid
 from qal.quantum import (
@@ -143,29 +141,6 @@ KERNEL_CASES = {
 
 def big_grid(size):
     return StateGrid(np.linspace(-10.0, 10.0, size, endpoint=False))
-
-
-def traced_peak(fn):
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-@contextlib.contextmanager
-def capped_address_space(headroom=256 << 20):
-    """Let a broken byte guard fail with MemoryError instead of filling the host."""
-    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
-    with open("/proc/self/statm") as statm:
-        mapped = int(statm.read().split()[0]) * resource.getpagesize()
-    cap = mapped + headroom if hard == resource.RLIM_INFINITY else min(hard, mapped + headroom)
-    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
-    try:
-        yield
-    finally:
-        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
 
 
 class TestLazyKernel:
