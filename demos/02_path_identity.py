@@ -4,11 +4,13 @@
 Expanding N rounds of the observed histogram over M outcomes produces
 ((M^2+M)/2)^N canonical terms after twin merging.  The whole sum can be
 rewritten as |sum over the M^N classical paths of sqrt(prob) * exp(i*phase)|^2
-once the phases solve the radix-grouped cosine constraints.  For two-outcome
-sources the grouped system has an exact closed-form solution at every
-feasible coupling, so the identity holds to machine precision; for M >= 3
-the system is genuinely overdetermined and the report carries the residual
-and a gap bound instead.
+once the phases solve the radix-grouped cosine constraints.  With phases
+additive over rounds both sums factor, so the check solves one round,
+cos(theta_a - theta_b) = d_ab, and raises both sides to the N-th power.
+Two outcomes solve exactly at every feasible coupling, so the identity holds
+to machine precision; three outcomes are solved to their exact minimax
+residual r*, which no phase assignment can beat, and the report carries that
+residual, r* and a gap bound instead.
 """
 
 import numpy as np
@@ -53,7 +55,8 @@ bare3 = BareDistribution(np.array([0.0, 1.0, 2.0]), np.array([0.5, 0.3, 0.2]))
 rep = identity_check(bare3, [0.1, 0.1, 0.1], 2, seed=1)
 print(
     f"  path sum {rep.xi:.6f}, |amplitude|^2 {rep.amp_sq:.6f}, gap {rep.gap:.3f}, "
-    f"residual {rep.max_residual:.3f}, gap <= bound: {rep.gap <= rep.bound}"
+    f"residual {rep.max_residual:.3f} (lower bound {rep.solve_report.lower_bound:.3f}), "
+    f"gap <= bound: {rep.gap <= rep.bound}"
 )
 
 print("\n== channel too strong: constraints leave the unit interval ==")

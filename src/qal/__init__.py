@@ -15,7 +15,7 @@ The library covers four layers:
 
 __version__ = "0.1.0"
 
-from . import cli, core, grid, markov, paths, quantum  # noqa: F401
+from . import core, grid, markov, paths, quantum  # noqa: F401
 from .core import (  # noqa: F401
     LOST,
     BareDistribution,

@@ -40,20 +40,6 @@ __all__ = [
     "read_csv",
 ]
 
-COMMANDS = (
-    "histogram",
-    "census",
-    "identity-check",
-    "phase-solve",
-    "simulate-game",
-    "propagate-game",
-    "quantum-propagate",
-    "quantum-compare",
-    "uncertainty",
-    "roughness",
-)
-
-
 @dataclass(frozen=True)
 class ParamSpec:
     kind: str  # "int" | "float" | "floats" | "str" | "choice"
@@ -61,6 +47,7 @@ class ParamSpec:
     help: str = ""
     choices: tuple[str, ...] = ()
     required: bool = False
+    minimum: int | None = None
 
 
 _CHANNEL = {
@@ -71,10 +58,9 @@ _CHANNEL = {
     "labels": ParamSpec("floats", None, "outcome values (default 0..M-1)"),
 }
 
-_SOLVER = {
+_PATHS = {
+    "n": ParamSpec("int", None, "round count", required=True, minimum=1),
     "tol": ParamSpec("float", 1e-8, "residual tolerance for the phase solve"),
-    "restarts": ParamSpec("int", 8, "random multi-start count"),
-    "max-iter": ParamSpec("int", 400, "iteration budget per start"),
 }
 
 _GAME = {
@@ -106,19 +92,11 @@ _WAVE = {
 PARAM_SPECS: dict[str, dict[str, ParamSpec]] = {
     "histogram": dict(_CHANNEL),
     "census": {
-        "m": ParamSpec("int", None, "outcome count", required=True),
-        "n": ParamSpec("int", None, "round count", required=True),
+        "m": ParamSpec("int", None, "outcome count", required=True, minimum=2),
+        "n": _PATHS["n"],
     },
-    "identity-check": {
-        **_CHANNEL,
-        "n": ParamSpec("int", None, "round count", required=True),
-        **_SOLVER,
-    },
-    "phase-solve": {
-        **_CHANNEL,
-        "n": ParamSpec("int", None, "round count", required=True),
-        **_SOLVER,
-    },
+    "identity-check": {**_CHANNEL, **_PATHS},
+    "phase-solve": {**_CHANNEL, **_PATHS},
     "simulate-game": {
         **_CHANNEL,
         **_GAME,
@@ -279,6 +257,8 @@ def parse_config(
                 raise ConfigError(f"missing required parameter --{key}")
             params[key] = spec.default
             provenance[key] = "default"
+        if spec.minimum is not None and params[key] < spec.minimum:
+            raise ConfigError(f"{key}: expected at least {spec.minimum}, got {params[key]}")
 
     if seed is not None:
         resolved_seed = _convert("seed", seed, ParamSpec("int"))
@@ -507,56 +487,43 @@ def _run_census(config: ExperimentConfig):
     return 0, ["l", "raw", "reduced"], rows, meta
 
 
-def _run_identity_check(config: ExperimentConfig):
+def _identity(config: ExperimentConfig) -> paths.IdentityReport:
     bare, rules = _build_channel(config.params)
-    gamma = rules.loss_rates
-    report = paths.identity_check(
-        bare,
-        gamma,
-        config.params["n"],
-        max_iter=config.params["max-iter"],
-        tol=config.params["tol"],
-        restarts=config.params["restarts"],
-        seed=config.seed,
-    )
-    rows = [[
-        report.m,
-        report.n,
-        report.xi,
-        report.amp_sq,
-        report.gap,
-        report.max_residual,
-        report.bound,
-        report.feasible,
-        report.converged,
-    ]]
-    header = ["m", "n", "xi", "amp_sq", "gap", "residual", "bound", "feasible", "converged"]
+    n, tol = config.params["n"], config.params["tol"]
+    return paths.identity_check(bare, rules.loss_rates, n, tol=tol, seed=config.seed)
+
+
+def _run_identity_check(config: ExperimentConfig):
+    report = _identity(config)
+    columns = {
+        "m": report.m,
+        "n": report.n,
+        "xi": report.xi,
+        "amp_sq": report.amp_sq,
+        "gap": report.gap,
+        "residual": report.max_residual,
+        "bound": report.bound,
+        "feasible": report.feasible,
+        "converged": report.converged,
+        "bound_vacuous": report.bound_vacuous,
+    }
     code = 0 if (report.feasible and report.converged) else 2
-    return code, header, rows, {}
+    return code, list(columns), [list(columns.values())], {}
 
 
 def _run_phase_solve(config: ExperimentConfig):
-    bare, rules = _build_channel(config.params)
-    from .core import symmetric_coupling
-
-    coupling = symmetric_coupling(bare, rules.loss_rates)
-    constraints = paths.build_constraints(bare, coupling, config.params["n"])
-    assignment, report = paths.solve_phases(
-        constraints,
-        max_iter=config.params["max-iter"],
-        tol=config.params["tol"],
-        restarts=config.params["restarts"],
-        seed=config.seed,
-    )
+    identity = _identity(config)
+    assignment = paths.lift_phases(identity.assignment, config.params["n"])
     rows = [
         [str(paths.ClassicalPath(tuple(int(v) for v in path))), phase]
         for path, phase in zip(assignment.paths, assignment.phases)
     ]
+    report = identity.solve_report
     meta = {
         "max-residual": report.max_residual,
         "feasible": report.feasible,
         "converged": report.converged,
-        "groups": int(report.group_sizes.size),
+        "lower-bound": report.lower_bound,
     }
     return (0 if report.feasible else 2), ["path", "phase"], rows, meta
 
@@ -844,3 +811,7 @@ def run(argv: list[str]) -> int:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

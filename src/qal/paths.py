@@ -9,18 +9,19 @@ complex sum over the M^N classical paths, each weighted by the square root of
 its probability and a solved phase.
 
 The phase constraints are grouped by shared radix (the square-root factor
-pattern two paths have in common): within one radix group the sum of
-cos(phi_i - phi_j) must match the sum of coupling products.  Groups of size
-one reduce to plain pairwise constraints; larger groups are exactly the twin
-families.  Solving the grouped system (rather than forcing every pair
-individually) is what makes the identity attainable beyond the scalar case.
+pattern two paths have in common): within one radix group the mean of
+cos(phi_i - phi_j) must match the coupling product.  Phases additive over
+rounds factor both sums, so :func:`identity_check` solves the one-round
+system cos(theta_a - theta_b) = d_ab once, exactly for M <= 3, and raises
+both sides to the N-th power.  The N-round build and :func:`solve_phases`
+serve endpoint-filtered systems and the tests, as oracles.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -46,6 +47,8 @@ __all__ = [
     "build_constraints",
     "constraints_for_pairs",
     "solve_phases",
+    "single_round_phases",
+    "lift_phases",
     "amplitude_sum",
     "identity_check",
 ]
@@ -290,15 +293,10 @@ class ConstraintSet(Sequence[PairConstraint]):
         self.group_inverse = inverse
         self.group_sizes = counts
         self.group_targets = self.targets[first]
-        self.group_representative = first
 
     @property
     def n_paths(self) -> int:
         return int(self.paths.shape[0])
-
-    @property
-    def n_rounds(self) -> int:
-        return int(self.paths.shape[1])
 
     @property
     def n_groups(self) -> int:
@@ -407,7 +405,8 @@ class SolveReport:
     ``max_residual`` and ``group_residuals`` refer to the radix-grouped
     system actually optimized; ``pair_residuals`` report every raw pair
     against its own target for inspection.  Infeasible targets (|t| > 1) are
-    reported without solving.
+    reported without solving.  ``lower_bound`` is a certified floor under
+    the largest group residual of any phase assignment (0.0: no certificate).
     """
 
     feasible: bool
@@ -419,6 +418,7 @@ class SolveReport:
     starts_tried: int
     best_start: int
     infeasible_indices: np.ndarray
+    lower_bound: float = 0.0
 
 
 def _wrap_phases(phases: np.ndarray) -> np.ndarray:
@@ -427,25 +427,35 @@ def _wrap_phases(phases: np.ndarray) -> np.ndarray:
     return wrapped
 
 
-def _two_label_start(constraints: ConstraintSet) -> np.ndarray | None:
-    """Exact closed-form phases when paths range over just two labels.
+def _group_residuals(constraints: ConstraintSet, phi: np.ndarray) -> np.ndarray:
+    c = np.cos(phi[constraints.pair_i] - phi[constraints.pair_j])
+    sums = np.bincount(constraints.group_inverse, weights=c, minlength=constraints.n_groups)
+    return sums / constraints.group_sizes - constraints.group_targets
 
-    With a single coupling value d, additive per-round phases of size
-    arccos(d)/2 (sign split by label) satisfy every radix group exactly.
-    """
-    labels = np.unique(constraints.paths)
-    if labels.size != 2:
-        return None
-    reps_i = constraints.pair_i[constraints.group_representative]
-    reps_j = constraints.pair_j[constraints.group_representative]
-    ndiff = (constraints.paths[reps_i] != constraints.paths[reps_j]).sum(axis=1)
-    singles = np.nonzero(ndiff == 1)[0]
-    if singles.size == 0:
-        return None
-    d = float(np.clip(constraints.group_targets[singles[0]], -1.0, 1.0))
-    kappa = math.acos(d)
-    sigma = np.where(constraints.paths == labels[0], -1.0, 1.0).sum(axis=1)
-    return 0.5 * kappa * sigma
+
+def _solved(
+    constraints: ConstraintSet, phi: np.ndarray, tol: float, starts_tried: int,
+    best_start: int, lower_bound: float = 0.0,
+) -> tuple[PhaseAssignment, SolveReport]:
+    """Gauge-fix and wrap ``phi``, then report its residuals on ``constraints``."""
+    phi = _wrap_phases(phi - phi[0])
+    phi[0] = 0.0
+    g_res = _group_residuals(constraints, phi)
+    max_res = float(np.max(np.abs(g_res))) if constraints.n_groups else 0.0
+    report = SolveReport(
+        feasible=True,
+        converged=bool(max_res <= tol),
+        max_residual=max_res,
+        group_residuals=g_res,
+        pair_residuals=np.cos(phi[constraints.pair_i] - phi[constraints.pair_j])
+        - constraints.targets,
+        group_sizes=constraints.group_sizes.copy(),
+        starts_tried=starts_tried,
+        best_start=best_start,
+        infeasible_indices=np.zeros(0, dtype=np.int64),
+        lower_bound=lower_bound,
+    )
+    return PhaseAssignment(constraints.paths, phi), report
 
 
 def _group_jacobian(constraints: ConstraintSet, phi: np.ndarray) -> np.ndarray:
@@ -473,19 +483,14 @@ def solve_phases(
 ) -> tuple[PhaseAssignment, SolveReport]:
     """Gauge-fixed least squares over the radix-grouped cosine constraints.
 
-    Starts are tried in order: the closed-form two-label start when it
-    applies, an evenly spread one, then the random restarts.  Each start is
-    scored before it is optimized; one already within ``tol`` is taken as it
-    is, so the closed-form case runs no least squares at all.  The first
-    start within ``tol`` ends the search.  Deterministic given the seed:
-    restarts draw their initial phases from per-restart generator substreams
-    keyed by restart index.  Non-convergence is reported, not raised.
+    Starts are tried in order: an evenly spread one, then the random
+    restarts.  Each start is scored before it is optimized; one already
+    within ``tol`` is taken as it is, and the first start within ``tol``
+    ends the search.  Deterministic given the seed: restarts draw their
+    initial phases from per-restart generator substreams keyed by restart
+    index.  Non-convergence is reported, not raised.
     """
     k = constraints.n_paths
-    ii, jj = constraints.pair_i, constraints.pair_j
-    ginv = constraints.group_inverse
-    counts = constraints.group_sizes.astype(float)
-    t_group = constraints.group_targets
     n_groups = constraints.n_groups
 
     bad = constraints.infeasible_pairs()
@@ -504,22 +509,13 @@ def solve_phases(
         )
         return phases, report
 
-    def group_residuals(phi: np.ndarray) -> np.ndarray:
-        c = np.cos(phi[ii] - phi[jj])
-        sums = np.bincount(ginv, weights=c, minlength=n_groups)
-        return sums / counts - t_group
-
     def fun(theta: np.ndarray) -> np.ndarray:
-        return group_residuals(np.concatenate(([0.0], theta)))
+        return _group_residuals(constraints, np.concatenate(([0.0], theta)))
 
     def jac(theta: np.ndarray) -> np.ndarray:
         return _group_jacobian(constraints, np.concatenate(([0.0], theta)))[:, 1:]
 
-    starts: list[np.ndarray] = []
-    analytic = _two_label_start(constraints)
-    if analytic is not None:
-        starts.append((analytic - analytic[0])[1:])
-    starts.append((np.pi * np.arange(k) / k)[1:])
+    starts = [(np.pi * np.arange(k) / k)[1:]]
     streams = np.random.SeedSequence(seed).spawn(max(restarts, 0))
     for stream in streams:
         rng = np.random.default_rng(stream)
@@ -553,23 +549,67 @@ def solve_phases(
             break
 
     phi = np.concatenate(([0.0], best_theta)) if k > 1 else np.zeros(1)
-    phi = _wrap_phases(phi - phi[0])
-    phi[0] = 0.0
-    g_res = group_residuals(phi)
-    p_res = np.cos(phi[ii] - phi[jj]) - constraints.targets
-    max_res = float(np.max(np.abs(g_res))) if n_groups else 0.0
-    report = SolveReport(
-        feasible=True,
-        converged=bool(max_res <= tol),
-        max_residual=max_res,
-        group_residuals=g_res,
-        pair_residuals=p_res,
-        group_sizes=constraints.group_sizes.copy(),
-        starts_tried=idx + 1,
-        best_start=best_start,
-        infeasible_indices=np.zeros(0, dtype=np.int64),
-    )
-    return PhaseAssignment(constraints.paths, phi), report
+    return _solved(constraints, phi, tol, starts_tried=idx + 1, best_start=best_start)
+
+
+def _triangle_phases(d01: float, d12: float, d02: float) -> tuple[float, np.ndarray]:
+    """Exact minimax of max |cos(theta_a - theta_b) - d_ab| over three labels.
+
+    At residual r each pair angle a_ab may lie in [arccos(d + r), arccos(d - r)];
+    phases exist iff s01*a01 + s12*a12 - a02 is a multiple of 2*pi for some
+    signs, a test monotone in r, so r* is a bisection.  Returns its low end, a
+    lower bound on r*, and phases (theta_0 = 0) that close at its high end.
+    """
+
+    def close(r: float) -> np.ndarray | None:
+        spans = [(math.acos(min(1.0, d + r)), math.acos(max(-1.0, d - r))) for d in (d01, d12, d02)]
+        for signs in itertools.product((1, -1), (1, -1), (-1,)):
+            ends = [(lo, hi) if s > 0 else (-hi, -lo) for s, (lo, hi) in zip(signs, spans)]
+            low, high = (sum(e) for e in zip(*ends))
+            for turn in (-2.0 * math.pi, 0.0, 2.0 * math.pi):
+                if low <= turn <= high:
+                    lam = (turn - low) / (high - low) if high > low else 0.0
+                    t01, t12 = (lo + lam * (hi - lo) for lo, hi in ends[:2])
+                    return np.array([0.0, t01, t01 + t12])
+        return None
+
+    lo, hi = 0.0, 2.0  # at r = 2 every angle is free
+    for _ in range(64):  # down to adjacent doubles, or a width of 1e-19
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if close(mid) is not None else (mid, hi)
+    return lo, close(hi)
+
+
+def single_round_phases(
+    bare: BareDistribution, coupling: CouplingMatrix, *, tol: float = 1e-8, seed: int = 0
+) -> tuple[PhaseAssignment, SolveReport]:
+    """Minimax phases of the M one-round paths, cos(theta_a - theta_b) = d_ab.
+
+    M = 2 is exact; M = 3 is the exact minimax r* (:func:`_triangle_phases`),
+    with no least squares and no ``seed``; M >= 4 runs :func:`solve_phases`,
+    with the largest three-label r* as ``lower_bound``.  Infeasible couplings
+    are reported as :func:`solve_phases` reports them.  Any N-round system's
+    size-1 groups are one-round pairs, so ``lower_bound`` bounds every N-round
+    assignment too, additive over rounds or not.
+    """
+    constraints = build_constraints(bare, coupling, 1)
+    m, d = bare.m, np.clip(coupling.d, -1.0, 1.0)
+    if m > 3 or constraints.infeasible_pairs().size:
+        assignment, report = solve_phases(constraints, tol=tol, seed=seed)
+        triples = itertools.combinations(range(m), 3) if report.feasible else ()
+        floors = [_triangle_phases(d[a, b], d[b, c], d[a, c])[0] for a, b, c in triples]
+        return assignment, replace(report, lower_bound=max(floors, default=0.0))
+    if m == 3:
+        floor, theta = _triangle_phases(d[0, 1], d[1, 2], d[0, 2])
+    else:
+        floor, theta = 0.0, np.array([0.0, math.acos(d[0, 1])])
+    return _solved(constraints, theta, tol, starts_tried=1, best_start=0, lower_bound=floor)
+
+
+def lift_phases(labels: PhaseAssignment, n: int) -> PhaseAssignment:
+    """Additive N-round phases: each path's phase is the sum of its label phases."""
+    paths = all_paths(len(labels), n)
+    return PhaseAssignment(paths, _wrap_phases(labels.phases[paths].sum(axis=1)))
 
 
 def amplitude_sum(
@@ -592,11 +632,16 @@ def amplitude_sum(
 
 @dataclass(frozen=True, eq=False)
 class IdentityReport:
-    """Full pipeline result: both sums, their gap, and the residual bound.
+    """Both N-round sums in closed form, their gap, and the residual bound.
 
-    The bound is 2 * sum over radix groups of |group| * radix_product *
-    |group residual|, plus a small round-off allowance; the gap never exceeds
-    it when the solve is feasible.
+    ``assignment`` holds the label phases; the path phases are their additive
+    lift (:func:`lift_phases`), so ``xi`` = xi_1^N and ``amp_sq`` = |a|^(2N).
+    ``max_residual``, ``converged`` and ``solve_report`` describe the one-round
+    system.  The lift's largest N-round group residual lies in
+    [``solve_report.lower_bound``, N * ``max_residual``]: certified, not
+    optimal.  ``bound`` = N max(|xi_1|, |a|^2)^(N-1) * 2 sum_{a<b} sqrt(p_a
+    p_b) |pair residual| + slack caps the gap; ``bound_vacuous`` flags one of
+    at least max(xi, amp_sq), the largest gap possible.
     """
 
     m: int
@@ -606,6 +651,7 @@ class IdentityReport:
     gap: float
     max_residual: float
     bound: float
+    bound_vacuous: bool
     feasible: bool
     converged: bool
     coupling: CouplingMatrix
@@ -614,37 +660,28 @@ class IdentityReport:
 
 
 def identity_check(
-    bare: BareDistribution,
-    loss_rates,
-    n: int,
-    *,
-    max_iter: int = 400,
-    tol: float = 1e-8,
-    restarts: int = 8,
-    seed: int = 0,
+    bare: BareDistribution, loss_rates, n: int, *, tol: float = 1e-8, seed: int = 0
 ) -> IdentityReport:
-    """Coupling -> constraints -> phase solve -> compare both path sums."""
+    """Coupling -> one-round phases -> both N-round sums, in O(M^2) at any N.
+
+    ``seed`` matters only for M >= 4 (see :func:`single_round_phases`).
+    """
+    if n < 1:
+        raise ValueError("need at least one round")
     coupling = symmetric_coupling(bare, loss_rates)
-    constraints = build_constraints(bare, coupling, n)
-    assignment, solve_report = solve_phases(
-        constraints, max_iter=max_iter, tol=tol, restarts=restarts, seed=seed
-    )
-    xi = xi_sum(bare, coupling, n)
+    assignment, solve_report = single_round_phases(bare, coupling, tol=tol, seed=seed)
+    xi1 = xi_sum(bare, coupling, 1)
+    xi = xi1**n
     amp_sq = gap = bound = float("nan")
     if solve_report.feasible:
-        amp_sq = float(abs(amplitude_sum(bare, assignment, n)) ** 2)
+        amp1 = abs(amplitude_sum(bare, assignment, 1)) ** 2
+        amp_sq = amp1**n
         gap = abs(xi - amp_sq)
-        radices = path_radices(bare, constraints.paths)
-        reps = constraints.group_representative
-        rho = radices[constraints.pair_i[reps]] * radices[constraints.pair_j[reps]]
+        s = np.sqrt(bare.probs)
+        rho = np.multiply.outer(s, s)[np.triu_indices(bare.m, 1)]  # the one-round pair order
+        spread = 2.0 * float(np.sum(rho * np.abs(solve_report.pair_residuals)))
         slack = 1e-13 * (1.0 + abs(xi) + amp_sq)
-        bound = float(
-            2.0
-            * np.sum(
-                constraints.group_sizes * rho * np.abs(solve_report.group_residuals)
-            )
-            + slack
-        )
+        bound = n * max(abs(xi1), amp1) ** (n - 1) * spread + slack
     return IdentityReport(
         m=bare.m,
         n=n,
@@ -653,6 +690,7 @@ def identity_check(
         gap=gap,
         max_residual=solve_report.max_residual,
         bound=bound,
+        bound_vacuous=bool(bound >= max(xi, amp_sq)),
         feasible=solve_report.feasible,
         converged=solve_report.converged,
         coupling=coupling,

@@ -1,9 +1,14 @@
 """Command-line surface: flags, config files, CSV schemas, plot scripts."""
 
 import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import qal
 from qal.cli import emit_plot_script, parse_config, read_csv, run
 from qal.errors import ConfigError, UnknownSchema
 
@@ -156,6 +161,71 @@ class TestCommands:
         phases = {row[0]: float(row[1]) for row in rows}
         assert phases["1"] == 0.0
         assert abs(phases["2"]) == pytest.approx(1.7721542475852274, abs=1e-9)
+
+    def test_phase_solve_prints_the_additive_lift(self, tmp_path):
+        rc = run_in(
+            tmp_path,
+            ["phase-solve", "--p", ".2,.3,.5", "--gamma", ".1,.2,.1", "--n", "2",
+             "--out", "ph.csv"],
+        )
+        assert rc == 0
+        metadata, _, rows = read_csv(tmp_path / "ph.csv")
+        assert "groups" not in metadata
+        assert float(metadata["lower-bound"]) <= float(metadata["max-residual"])
+        # the path cell "a,b" is written unquoted, so it spans two CSV fields
+        phases = {",".join(row[:-1]): float(row[-1]) for row in rows}
+        assert len(phases) == 9
+        for a, b in [(1, 2), (2, 3), (3, 3)]:
+            lifted = phases[f"1,{a}"] + phases[f"1,{b}"]
+            assert np.exp(1j * phases[f"{a},{b}"]) == pytest.approx(np.exp(1j * lifted), abs=1e-12)
+
+    @pytest.mark.parametrize("n", [12, 100])
+    def test_identity_check_two_labels_any_n(self, tmp_path, n):
+        argv = ["identity-check", "--p", ".5,.5", "--gamma", ".2,.2", "--n", str(n)]
+        assert run_in(tmp_path, argv + ["--out", "id.csv"]) == 0
+        _, header, rows = read_csv(tmp_path / "id.csv")
+        record = dict(zip(header, rows[0]))
+        assert record["converged"] == "true"
+        assert record["bound_vacuous"] == "false"
+        assert float(record["xi"]) == pytest.approx(0.8**n, rel=1e-12)
+        assert float(record["gap"]) <= float(record["bound"])
+
+    def test_identity_check_flags_a_vacuous_bound(self, tmp_path):
+        argv = ["identity-check", "--p", ".2,.3,.5", "--gamma", ".1,.2,.1", "--n", "3"]
+        assert run_in(tmp_path, argv + ["--out", "id.csv"]) == 2
+        _, header, rows = read_csv(tmp_path / "id.csv")
+        assert header[-1] == "bound_vacuous"
+        record = dict(zip(header, rows[0]))
+        assert record["bound_vacuous"] == "true"
+        assert float(record["bound"]) >= max(float(record["xi"]), float(record["amp_sq"]))
+
+    @pytest.mark.parametrize(
+        "command, channel",
+        [("identity-check", ["--p", ".5,.5"]), ("phase-solve", ["--p", ".5,.5"]),
+         ("census", ["--m", "2"])],
+    )
+    def test_no_rounds_exit_1(self, tmp_path, capsys, command, channel):
+        assert run_in(tmp_path, [command, *channel, "--n", "0", "--out", "x.csv"]) == 1
+        assert capsys.readouterr().err.strip() == f"qal {command}: n: expected at least 1, got 0"
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("flag", ["--restarts", "--max-iter"])
+    def test_removed_solver_flags_exit_1(self, tmp_path, capsys, flag):
+        argv = ["identity-check", "--p", ".5,.5", "--n", "1", flag, "2"]
+        assert run_in(tmp_path, argv) == 1
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    def test_module_entry_point_runs_commands(self, tmp_path):
+        src = str(Path(qal.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        proc = subprocess.run(
+            [sys.executable, "-m", "qal.cli", "census", "--m", "2", "--n", "2", "--out", "f.csv"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+        assert (tmp_path / "f.csv").stat().st_size > 0
 
     def test_simulate_game(self, tmp_path):
         rc = run_in(

@@ -2,17 +2,20 @@
 
 import itertools
 import math
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from scipy.optimize import least_squares
+from scipy.optimize import brentq, least_squares
 
 import qal.paths
-from qal.core import BareDistribution, CouplingMatrix, symmetric_coupling
+from qal.core import BareDistribution, CouplingMatrix, QRuleParams, symmetric_coupling
 from qal.errors import SizeGuardExceeded
+from qal.grid import StateGrid
+from qal.markov import GameSpec, endpoint_constraints
 from qal.paths import (
     ClassicalPath,
     all_paths,
@@ -22,7 +25,9 @@ from qal.paths import (
     constraints_for_pairs,
     expand_paths,
     identity_check,
+    lift_phases,
     path_radices,
+    single_round_phases,
     solve_phases,
     xi_sum,
 )
@@ -362,28 +367,34 @@ class TestGroupJacobian:
 
 
 class TestStartScoring:
-    @given(
-        p0=st.floats(0.05, 0.95),
-        gamma=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
-        n=st.integers(1, 6),
-    )
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6))
     @settings(
-        max_examples=25,
+        max_examples=30,
         deadline=None,
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
-    def test_closed_form_start_skips_least_squares(self, monkeypatch, p0, gamma, n):
+    def test_closed_form_start_skips_least_squares(self, monkeypatch, seed, n):
         def forbidden(*args, **kwargs):
-            raise AssertionError("least_squares ran from a start already within tol")
+            raise AssertionError("least_squares ran on the identity path")
+
+        def one_round_only(bare, coupling, rounds):
+            assert rounds == 1, "the identity path enumerated N-round paths"
+            return build_constraints(bare, coupling, rounds)
 
         monkeypatch.setattr(qal.paths, "least_squares", forbidden)
-        P = bare([p0, 1.0 - p0])
-        assume(symmetric_coupling(P, gamma).max_abs() <= 1.0)
+        monkeypatch.setattr(qal.paths, "build_constraints", one_round_only)
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(2, 4))
+        probs = np.maximum(rng.dirichlet(np.full(m, 2.0)), 0.05)
+        P = bare(probs / probs.sum())
+        gamma = rng.uniform(0.0, 1.0, m)
         rep = identity_check(P, gamma, n, seed=n)
-        assert rep.feasible and rep.converged
-        assert rep.solve_report.starts_tried == 1
-        assert rep.solve_report.best_start == 0
-        assert rep.gap <= rep.bound
+        assert rep.feasible == (symmetric_coupling(P, gamma).max_abs() <= 1.0 + 1e-12)
+        if rep.feasible:
+            assert rep.solve_report.starts_tried == 1
+            assert rep.solve_report.best_start == 0
+            assert rep.gap <= rep.bound
+            assert rep.converged or m == 3
 
     def test_least_squares_runs_when_no_start_meets_tol(self, monkeypatch):
         calls = []
@@ -394,10 +405,115 @@ class TestStartScoring:
 
         monkeypatch.setattr(qal.paths, "least_squares", counting)
         P = bare([0.2, 0.3, 0.5])
-        rep = identity_check(P, [0.1, 0.2, 0.1], 1, seed=3, restarts=2)
-        assert not rep.converged
-        assert rep.solve_report.starts_tried == 3
+        cs = build_constraints(P, symmetric_coupling(P, [0.1, 0.2, 0.1]), 1)
+        _, report = solve_phases(cs, seed=3, restarts=2)
+        assert not report.converged
+        assert report.starts_tried == 3
         assert calls == ["lm"] * 3
+
+
+def exact_three_label_gamma(P):
+    """Uniform loss rate at which the three single-round angles sum to 2*pi."""
+
+    def excess(gamma):
+        d = symmetric_coupling(P, [gamma] * 3).d
+        return np.arccos(d[0, 1]) + np.arccos(d[1, 2]) + np.arccos(d[0, 2]) - 2 * np.pi
+
+    return brentq(excess, 0.5, 1.0, xtol=1e-16)
+
+
+class TestSingleRound:
+    def test_exactly_feasible_three_labels(self):
+        P = bare([0.2, 0.3, 0.5])
+        gamma = exact_three_label_gamma(P)
+        assert gamma == pytest.approx(0.9490929658561366, abs=1e-12)
+        for n in (1, 2, 3, 4, 100):
+            rep = identity_check(P, [gamma] * 3, n)
+            assert rep.feasible and rep.converged
+            assert rep.gap <= 1e-10
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_targets_a_round_off_past_minus_one_are_clipped(self, m):
+        d = np.zeros((m, m))
+        d[0, 1] = d[1, 0] = -1.0 - 5e-13  # within the feasibility tolerance
+        _, report = single_round_phases(bare(np.full(m, 1.0 / m)), CouplingMatrix(d))
+        assert report.feasible and report.converged
+        assert report.lower_bound <= report.max_residual <= 1e-12
+
+    def test_three_label_minimax_is_seed_independent(self):
+        P = bare([0.2, 0.3, 0.5])
+        first = identity_check(P, [0.1, 0.2, 0.1], 3, seed=0)
+        assert first.max_residual == pytest.approx(0.4306297966927, abs=1e-12)
+        assert first.solve_report.lower_bound <= first.max_residual
+        assert first.max_residual - first.solve_report.lower_bound <= 1e-15
+        for seed in range(1, 16):
+            rep = identity_check(P, [0.1, 0.2, 0.1], 3, seed=seed)
+            for name in ("xi", "amp_sq", "gap", "bound", "max_residual"):
+                assert getattr(rep, name) == getattr(first, name)
+            assert rep.solve_report.lower_bound == first.solve_report.lower_bound
+            assert np.array_equal(rep.assignment.phases, first.assignment.phases)
+
+    def test_three_labels_at_five_rounds_is_fast(self):
+        P = bare([0.2, 0.3, 0.5])
+        identity_check(P, [0.1, 0.2, 0.1], 5)
+        start = time.perf_counter()
+        rep = identity_check(P, [0.1, 0.2, 0.1], 5)
+        assert time.perf_counter() - start < 0.1
+        assert rep.gap <= rep.bound
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_lift_against_exhaustive_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        P, gamma, d, n = random_symmetric_instance(rng, m_max=3, n_max=3)
+        rep = identity_check(P, gamma, n)
+        assert rep.feasible
+        lifted = lift_phases(rep.assignment, n)
+        assert rep.xi == pytest.approx(xi_sum(P, d, n), abs=1e-12)
+        assert rep.amp_sq == pytest.approx(abs(amplitude_sum(P, lifted, n)) ** 2, abs=1e-12)
+        assert rep.gap <= rep.bound
+        cs = build_constraints(P, d, n)
+        worst = float(np.max(np.abs(group_residuals(cs, lifted.phases))))
+        floor = rep.solve_report.lower_bound
+        assert floor - 1e-12 <= worst <= n * rep.max_residual + 1e-12
+        _, oracle = solve_phases(cs, restarts=1, seed=seed % 1000)
+        assert oracle.max_residual >= floor - 1e-12
+
+    def test_four_labels_take_the_largest_triangle_bound(self):
+        P = bare([0.1, 0.2, 0.3, 0.4])
+        d = symmetric_coupling(P, [0.1, 0.2, 0.1, 0.3])
+        _, report = single_round_phases(P, d, seed=1)
+        floors = []
+        for labels in itertools.combinations(range(4), 3):
+            sub = bare(P.probs[list(labels)] / P.probs[list(labels)].sum())
+            sub_d = CouplingMatrix(d.d[np.ix_(labels, labels)])
+            floors.append(single_round_phases(sub, sub_d)[1].lower_bound)
+        assert report.lower_bound == max(floors) > 0.0
+        assert report.lower_bound <= report.max_residual
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_lower_bound_never_exceeds_residual(self, seed):
+        rng = np.random.default_rng(seed)
+        P, _, d, n = random_symmetric_instance(rng, m_max=4, n_max=2)
+        full = build_constraints(P, d, n)
+        keep = rng.random(len(full)) < 0.5
+        subset = constraints_for_pairs(P, d, full.paths, full.pair_i[keep], full.pair_j[keep])
+        reports = [
+            single_round_phases(P, d, seed=seed % 1000)[1],
+            solve_phases(full, restarts=1, seed=seed % 1000)[1],
+            solve_phases(subset, restarts=1, seed=seed % 1000)[1],
+        ]
+        for report in reports:
+            assert report.lower_bound <= report.max_residual
+
+    def test_endpoint_system_lower_bound(self):
+        spec = GameSpec.random_walk(QRuleParams.pure_loss([0.2, 0.2]))
+        grid = StateGrid.from_range(-6.0, 6.0, 13)
+        for steps in (2, 3):
+            cs = endpoint_constraints(spec, grid, 0.0, steps, boundary="wrap")
+            _, report = solve_phases(cs, restarts=1, seed=steps)
+            assert report.lower_bound <= report.max_residual
 
 
 class TestAmplitudeSum:
@@ -473,7 +589,7 @@ class TestIdentityCheck:
         P = bare(probs / probs.sum())
         gamma = rng.uniform(0.0, 0.3, m)
         n = int(rng.integers(1, 3))
-        rep = identity_check(P, gamma, n, seed=seed % 1000, restarts=3)
+        rep = identity_check(P, gamma, n, seed=seed % 1000)
         if rep.feasible:
             assert rep.gap <= rep.bound
 
