@@ -1,10 +1,11 @@
 """Command-line front end: every experiment as a subcommand with CSV output.
 
-Configuration comes from typed flags, an optional ``key = value`` file
-(``--config``), and the ``QAL_SEED`` environment variable as a seed fallback,
-in that precedence order.  Every CSV embeds the fully resolved configuration
-(with per-key provenance), the tool version, and a schema tag that the plot
-script generator keys on.
+Each subcommand is one entry of ``COMMANDS``: its flags, the schema tag of
+its CSV and its handler.  Every key resolves flag > ``--config`` file
+(``key = value`` lines) > environment (``QAL_SEED``, for the seed only) >
+default.  Every CSV embeds the fully resolved configuration (with per-key
+provenance), the tool version, and a schema tag that the plot script
+generator keys on.
 
 Exit codes: 0 success, 1 validation error, 2 for runs that completed but
 whose numerical report failed its contract (infeasible phase constraints or
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -89,74 +91,6 @@ _WAVE = {
     "momentum": ParamSpec("float", 0.0, "initial packet momentum"),
 }
 
-PARAM_SPECS: dict[str, dict[str, ParamSpec]] = {
-    "histogram": dict(_CHANNEL),
-    "census": {
-        "m": ParamSpec("int", None, "outcome count", required=True, minimum=2),
-        "n": _PATHS["n"],
-    },
-    "identity-check": {**_CHANNEL, **_PATHS},
-    "phase-solve": {**_CHANNEL, **_PATHS},
-    "simulate-game": {
-        **_CHANNEL,
-        **_GAME,
-        "rounds": ParamSpec("int", 1, "rounds per trial"),
-        "trials": ParamSpec("int", 10000, "number of trials"),
-    },
-    "propagate-game": {
-        **_CHANNEL,
-        **_GAME,
-        "steps": ParamSpec("int", 1, "kernel applications"),
-        "boundary": ParamSpec("choice", "error", "grid boundary", ("error", "wrap")),
-        "grid-min": ParamSpec("float", -10.0, "left grid edge"),
-        "grid-max": ParamSpec("float", 10.0, "right grid edge"),
-        "grid-nodes": ParamSpec("int", 21, "node count"),
-    },
-    "quantum-propagate": {
-        **_PARTICLE,
-        **_GRID,
-        **_WAVE,
-        "eps": ParamSpec("float", 1e-3, "time step"),
-        "steps": ParamSpec("int", 1000, "step count"),
-    },
-    "quantum-compare": {
-        **_PARTICLE,
-        # a free, unapodized kernel is exact in time: no order to fit
-        "potential": ParamSpec("str", "harmonic:1", "free | harmonic:OMEGA"),
-        **_GRID,
-        **_WAVE,
-        "time": ParamSpec("float", 0.5, "total physical time"),
-        "eps-ladder": ParamSpec("floats", [4e-3, 2e-3, 1e-3], "time steps to compare"),
-    },
-    "uncertainty": {
-        "alpha": ParamSpec("float", 1.0, "action scale"),
-        "sigma0": ParamSpec("float", 1.0, "probe Gaussian width"),
-        "n-states": ParamSpec("int", 100, "random superpositions to test"),
-        **_GRID,
-    },
-    "roughness": {
-        "mass": ParamSpec("float", 1.0, "particle mass"),
-        "alpha": ParamSpec("float", 1.0, "action scale"),
-        "eps-ladder": ParamSpec("floats", [4e-3, 2e-3, 1e-3], "time steps to scan"),
-        "steps": ParamSpec("int", 64, "increments per sampled path"),
-        "samples": ParamSpec("int", 100000, "sampled paths per eps"),
-        "mode": ParamSpec("choice", "quantum", "path ensemble", ("quantum", "classical")),
-    },
-}
-
-SCHEMAS = {
-    "histogram": "histogram",
-    "census": "census",
-    "identity-check": "identity",
-    "phase-solve": "phases",
-    "simulate-game": "game",
-    "propagate-game": "distribution",
-    "quantum-propagate": "wavepacket",
-    "quantum-compare": "convergence",
-    "uncertainty": "uncertainty",
-    "roughness": "roughness",
-}
-
 
 @dataclass
 class ExperimentConfig:
@@ -212,6 +146,21 @@ def _read_config_file(path: str) -> dict[str, str]:
     return values
 
 
+def _resolve(key: str, spec: ParamSpec, sources: list[tuple[str, dict]]) -> tuple[object, str]:
+    """The value of ``key`` from the first source that sets it, else its default."""
+    for origin, values in sources:
+        if key in values:
+            value = _convert(key, values[key], spec)
+            break
+    else:
+        if spec.required:
+            raise ConfigError(f"missing required parameter --{key}")
+        value, origin = spec.default, "default"
+    if spec.minimum is not None and value < spec.minimum:
+        raise ConfigError(f"{key}: expected at least {spec.minimum}, got {value}")
+    return value, origin
+
+
 def parse_config(
     command: str,
     flag_params: dict[str, str] | None = None,
@@ -223,75 +172,38 @@ def parse_config(
 ) -> ExperimentConfig:
     """Resolve and type-check a run configuration.
 
-    Flags override file values; the seed falls back to the ``QAL_SEED``
-    environment variable, then to 0.  Unknown keys are rejected with the
-    offending name.
+    Every key, ``seed`` and ``out`` included, resolves flag > file >
+    environment > default; the environment supplies only the seed, as
+    ``QAL_SEED``.  Unknown keys are rejected with the offending name.
     """
-    if command not in PARAM_SPECS:
+    if command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}")
     env = dict(os.environ) if env is None else env
-    specs = PARAM_SPECS[command]
-    flag_params = {k: v for k, v in (flag_params or {}).items() if v is not None}
-    file_params = _read_config_file(config_file) if config_file else {}
-
-    file_seed = file_params.pop("seed", None)
-    file_out = file_params.pop("out", None)
-    for key in file_params:
+    params = COMMANDS[command].params
+    specs = {**params, "seed": ParamSpec("int", 0), "out": ParamSpec("str", f"{command}.csv")}
+    flags = {k: v for k, v in (flag_params or {}).items() if v is not None}
+    file_values = _read_config_file(config_file) if config_file else {}
+    for key in file_values:
         if key not in specs:
             raise ConfigError(f"unknown key {key!r} in {config_file}")
-    for key in flag_params:
-        if key not in specs:
+    for key in flags:
+        if key not in params:
             raise ConfigError(f"unknown flag {key!r}")
+    flags.update({k: v for k, v in {"seed": seed, "out": out}.items() if v is not None})
+    sources = [
+        ("flag", flags),
+        ("file", file_values),
+        ("env", {"seed": env["QAL_SEED"]} if "QAL_SEED" in env else {}),
+    ]
 
-    params: dict = {}
+    resolved: dict = {}
     provenance: dict[str, str] = {}
     for key, spec in specs.items():
-        if key in flag_params:
-            params[key] = _convert(key, flag_params[key], spec)
-            provenance[key] = "flag"
-        elif key in file_params:
-            params[key] = _convert(key, file_params[key], spec)
-            provenance[key] = "file"
-        else:
-            if spec.required:
-                raise ConfigError(f"missing required parameter --{key}")
-            params[key] = spec.default
-            provenance[key] = "default"
-        if spec.minimum is not None and params[key] < spec.minimum:
-            raise ConfigError(f"{key}: expected at least {spec.minimum}, got {params[key]}")
-
-    if seed is not None:
-        resolved_seed = _convert("seed", seed, ParamSpec("int"))
-        provenance["seed"] = "flag"
-    elif file_seed is not None:
-        resolved_seed = _convert("seed", file_seed, ParamSpec("int"))
-        provenance["seed"] = "file"
-    elif "QAL_SEED" in env:
-        resolved_seed = _convert("QAL_SEED", env["QAL_SEED"], ParamSpec("int"))
-        provenance["seed"] = "env"
-    else:
-        resolved_seed = 0
-        provenance["seed"] = "default"
+        resolved[key], provenance[key] = _resolve(key, spec, sources)
+    resolved_seed, resolved_out = resolved.pop("seed"), resolved.pop("out")
     if not 0 <= resolved_seed < 2**64:
         raise ConfigError("seed must fit in 64 unsigned bits")
-
-    if out is not None:
-        resolved_out = out
-        provenance["out"] = "flag"
-    elif file_out is not None:
-        resolved_out = file_out
-        provenance["out"] = "file"
-    else:
-        resolved_out = f"{command}.csv"
-        provenance["out"] = "default"
-
-    return ExperimentConfig(
-        command=command,
-        params=params,
-        seed=resolved_seed,
-        out=resolved_out,
-        provenance=provenance,
-    )
+    return ExperimentConfig(command, resolved, resolved_seed, resolved_out, provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +233,7 @@ def write_csv(
         f"# qal-version = {__version__}",
         f"# timestamp = {datetime.now(timezone.utc).isoformat()}",
         f"# command = {config.command}",
-        f"# schema = {SCHEMAS[config.command]}",
+        f"# schema = {COMMANDS[config.command].schema}",
         f"# seed = {config.seed} [{config.provenance.get('seed', 'default')}]",
     ]
     for key in sorted(config.params):
@@ -514,10 +426,8 @@ def _run_identity_check(config: ExperimentConfig):
 def _run_phase_solve(config: ExperimentConfig):
     identity = _identity(config)
     assignment = paths.lift_phases(identity.assignment, config.params["n"])
-    rows = [
-        [str(paths.ClassicalPath(tuple(int(v) for v in path))), phase]
-        for path, phase in zip(assignment.paths, assignment.phases)
-    ]
+    # 1-based labels, one ";"-separated cell per path
+    rows = list(zip(assignment.paths + 1, assignment.phases))
     report = identity.solve_report
     meta = {
         "max-residual": report.max_residual,
@@ -647,17 +557,68 @@ def _run_roughness(config: ExperimentConfig):
     return 0, ["eps", "mean_sq", "mean_sq_over_eps"], rows, {"ratios": report.ratios()}
 
 
-_HANDLERS = {
-    "histogram": _run_histogram,
-    "census": _run_census,
-    "identity-check": _run_identity_check,
-    "phase-solve": _run_phase_solve,
-    "simulate-game": _run_simulate_game,
-    "propagate-game": _run_propagate_game,
-    "quantum-propagate": _run_quantum_propagate,
-    "quantum-compare": _run_quantum_compare,
-    "uncertainty": _run_uncertainty,
-    "roughness": _run_roughness,
+@dataclass(frozen=True)
+class Command:
+    """One subcommand: its flags, its CSV schema tag and its handler."""
+
+    schema: str
+    handler: Callable[[ExperimentConfig], tuple]
+    params: dict[str, ParamSpec]
+
+
+COMMANDS: dict[str, Command] = {
+    "histogram": Command("histogram", _run_histogram, dict(_CHANNEL)),
+    "census": Command("census", _run_census, {
+        "m": ParamSpec("int", None, "outcome count", required=True, minimum=2),
+        "n": _PATHS["n"],
+    }),
+    "identity-check": Command("identity", _run_identity_check, {**_CHANNEL, **_PATHS}),
+    "phase-solve": Command("phases", _run_phase_solve, {**_CHANNEL, **_PATHS}),
+    "simulate-game": Command("game", _run_simulate_game, {
+        **_CHANNEL,
+        **_GAME,
+        "rounds": ParamSpec("int", 1, "rounds per trial"),
+        "trials": ParamSpec("int", 10000, "number of trials", minimum=1),
+    }),
+    "propagate-game": Command("distribution", _run_propagate_game, {
+        **_CHANNEL,
+        **_GAME,
+        "steps": ParamSpec("int", 1, "kernel applications"),
+        "boundary": ParamSpec("choice", "error", "grid boundary", ("error", "wrap")),
+        "grid-min": ParamSpec("float", -10.0, "left grid edge"),
+        "grid-max": ParamSpec("float", 10.0, "right grid edge"),
+        "grid-nodes": ParamSpec("int", 21, "node count"),
+    }),
+    "quantum-propagate": Command("wavepacket", _run_quantum_propagate, {
+        **_PARTICLE,
+        **_GRID,
+        **_WAVE,
+        "eps": ParamSpec("float", 1e-3, "time step"),
+        "steps": ParamSpec("int", 1000, "step count", minimum=1),
+    }),
+    "quantum-compare": Command("convergence", _run_quantum_compare, {
+        **_PARTICLE,
+        # a free, unapodized kernel is exact in time: no order to fit
+        "potential": ParamSpec("str", "harmonic:1", "free | harmonic:OMEGA"),
+        **_GRID,
+        **_WAVE,
+        "time": ParamSpec("float", 0.5, "total physical time"),
+        "eps-ladder": ParamSpec("floats", [4e-3, 2e-3, 1e-3], "time steps to compare"),
+    }),
+    "uncertainty": Command("uncertainty", _run_uncertainty, {
+        "alpha": ParamSpec("float", 1.0, "action scale"),
+        "sigma0": ParamSpec("float", 1.0, "probe Gaussian width"),
+        "n-states": ParamSpec("int", 100, "random superpositions to test"),
+        **_GRID,
+    }),
+    "roughness": Command("roughness", _run_roughness, {
+        "mass": ParamSpec("float", 1.0, "particle mass"),
+        "alpha": ParamSpec("float", 1.0, "action scale"),
+        "eps-ladder": ParamSpec("floats", [4e-3, 2e-3, 1e-3], "time steps to scan"),
+        "steps": ParamSpec("int", 64, "increments per sampled path"),
+        "samples": ParamSpec("int", 100000, "sampled paths per eps", minimum=1),
+        "mode": ParamSpec("choice", "quantum", "path ensemble", ("quantum", "classical")),
+    }),
 }
 
 
@@ -665,13 +626,17 @@ _HANDLERS = {
 # plot script generation
 # ---------------------------------------------------------------------------
 
-_PLOT_BODIES = {
-    "histogram": """\
+_PLOT_PREAMBLE = """\
 import csv, sys
 import matplotlib.pyplot as plt
 
 rows = [r for r in csv.reader(open(CSV)) if not r[0].startswith('#')]
 header, data = rows[0], rows[1:]
+"""
+
+# each plot kind: the schemas it accepts and the script body after the preamble
+_PLOTS = {
+    "histogram": ({"histogram"}, """\
 labels = [float(r[1]) for r in data]
 bare = [float(r[2]) for r in data]
 eff = [float(r[3]) for r in data]
@@ -680,35 +645,19 @@ plt.bar([i - 0.2 for i in x], bare, width=0.4, label='bare')
 plt.bar([i + 0.2 for i in x], eff, width=0.4, label='effective')
 plt.xticks(list(x), [str(v) for v in labels])
 plt.xlabel('outcome value'); plt.ylabel('probability'); plt.legend()
-""",
-    "convergence": """\
-import csv, sys
-import matplotlib.pyplot as plt
-
-rows = [r for r in csv.reader(open(CSV)) if not r[0].startswith('#')]
-header, data = rows[0], rows[1:]
+"""),
+    "convergence": ({"convergence", "roughness"}, """\
 xs = [float(r[0]) for r in data]
 ys = [float(r[1]) for r in data]
 plt.loglog(xs, ys, 'o-')
 plt.xlabel(header[0]); plt.ylabel(header[1]); plt.grid(True, which='both')
-""",
-    "wavepacket": """\
-import csv, sys
-import matplotlib.pyplot as plt
-
-rows = [r for r in csv.reader(open(CSV)) if not r[0].startswith('#')]
-header, data = rows[0], rows[1:]
+"""),
+    "wavepacket": ({"wavepacket"}, """\
 xs = [float(r[0]) for r in data]
 density = [float(r[3]) for r in data]
 plt.plot(xs, density)
 plt.xlabel('x'); plt.ylabel('|psi|^2')
-""",
-}
-
-_PLOT_COMPAT = {
-    "histogram": {"histogram"},
-    "convergence": {"convergence", "roughness"},
-    "wavepacket": {"wavepacket"},
+"""),
 }
 
 
@@ -718,23 +667,23 @@ def emit_plot_script(csv_path: str, kind: str, out_path: str | None = None) -> s
     The CSV's embedded schema tag must be compatible with the requested plot
     kind; the tool itself never renders anything.
     """
-    if kind not in _PLOT_BODIES:
+    if kind not in _PLOTS:
         raise UnknownSchema(f"no plot template for kind {kind!r}")
+    schemas, body = _PLOTS[kind]
     metadata, _, _ = read_csv(csv_path)
     schema = metadata.get("schema")
     if schema is None:
         raise UnknownSchema(f"{csv_path} carries no schema tag")
-    if schema not in _PLOT_COMPAT[kind]:
+    if schema not in schemas:
         raise UnknownSchema(f"schema {schema!r} is not plottable as {kind!r}")
     target = out_path or str(Path(csv_path).with_suffix(f".{kind}.py"))
-    body = _PLOT_BODIES[kind]
     script = (
         "#!/usr/bin/env python3\n"
         f"# rendered from {Path(csv_path).name} (schema: {schema})\n"
         f"CSV = {str(csv_path)!r}\n"
+        + _PLOT_PREAMBLE
         + body
-        + "\nimport sys\n"
-        "if len(sys.argv) > 1:\n"
+        + "\nif len(sys.argv) > 1:\n"
         "    plt.savefig(sys.argv[1], dpi=150)\n"
         "else:\n"
         "    plt.show()\n"
@@ -755,9 +704,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"qal {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-    for command, specs in PARAM_SPECS.items():
-        cp = sub.add_parser(command, help=f"run the {command} experiment")
-        for key, spec in specs.items():
+    for name, command in COMMANDS.items():
+        cp = sub.add_parser(name, help=f"run the {name} experiment")
+        for key, spec in command.params.items():
             cp.add_argument(
                 f"--{key}",
                 dest=key,
@@ -767,10 +716,10 @@ def _build_parser() -> argparse.ArgumentParser:
             )
         cp.add_argument("--config", default=None, help="key = value configuration file")
         cp.add_argument("--seed", default=None, help="64-bit seed (env QAL_SEED as fallback)")
-        cp.add_argument("--out", default=None, help=f"output CSV path (default {command}.csv)")
+        cp.add_argument("--out", default=None, help=f"output CSV path (default {name}.csv)")
     plot = sub.add_parser("plot-script", help="emit a matplotlib script for a CSV")
     plot.add_argument("csv", help="tool-written CSV file")
-    plot.add_argument("--kind", required=True, choices=sorted(_PLOT_BODIES))
+    plot.add_argument("--kind", required=True, choices=sorted(_PLOTS))
     plot.add_argument("--out", default=None, help="script path")
     return parser
 
@@ -789,22 +738,16 @@ def run(argv: list[str]) -> int:
         return 1
     try:
         if args.command == "plot-script":
-            target = emit_plot_script(args.csv, args.kind, args.out)
-            print(target)
+            print(emit_plot_script(args.csv, args.kind, args.out))
             return 0
-        specs = PARAM_SPECS[args.command]
-        flag_params = {key: getattr(args, key) for key in specs}
-        config = parse_config(
-            args.command,
-            flag_params,
-            args.config,
-            seed=args.seed,
-            out=args.out,
-        )
-        code, header, rows, meta = _HANDLERS[args.command](config)
+        command = COMMANDS[args.command]
+        flag_params = {key: getattr(args, key) for key in command.params}
+        config = parse_config(args.command, flag_params, args.config, seed=args.seed, out=args.out)
+        code, header, rows, meta = command.handler(config)
         write_csv(config, header, rows, meta)
         return code
-    except QalError as exc:
+    # a ValueError from the library is a rejected input, not a crash
+    except (QalError, ValueError) as exc:
         print(f"qal {args.command}: {exc}", file=sys.stderr)
         return 1
 

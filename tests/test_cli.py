@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import qal
-from qal.cli import emit_plot_script, parse_config, read_csv, run
+from qal.cli import COMMANDS, emit_plot_script, parse_config, read_csv, run
 from qal.errors import ConfigError, UnknownSchema
 
 
@@ -172,12 +172,11 @@ class TestCommands:
         metadata, _, rows = read_csv(tmp_path / "ph.csv")
         assert "groups" not in metadata
         assert float(metadata["lower-bound"]) <= float(metadata["max-residual"])
-        # the path cell "a,b" is written unquoted, so it spans two CSV fields
-        phases = {",".join(row[:-1]): float(row[-1]) for row in rows}
+        phases = {row[0]: float(row[1]) for row in rows}
         assert len(phases) == 9
         for a, b in [(1, 2), (2, 3), (3, 3)]:
-            lifted = phases[f"1,{a}"] + phases[f"1,{b}"]
-            assert np.exp(1j * phases[f"{a},{b}"]) == pytest.approx(np.exp(1j * lifted), abs=1e-12)
+            lifted = phases[f"1;{a}"] + phases[f"1;{b}"]
+            assert np.exp(1j * phases[f"{a};{b}"]) == pytest.approx(np.exp(1j * lifted), abs=1e-12)
 
     @pytest.mark.parametrize("n", [12, 100])
     def test_identity_check_two_labels_any_n(self, tmp_path, n):
@@ -327,6 +326,22 @@ class TestCommands:
         assert f": {key}: " in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["quantum-compare", "--eps-ladder", "3e-3,2e-3"],
+             "eps 0.003 does not divide the total time"),
+            (["quantum-compare", "--time", "-1"], "total time must be positive"),
+            (["simulate-game", "--p", ".5,.5", "--trials", "0"], "trials: expected at least 1, got 0"),
+            (["quantum-propagate", "--steps", "0"], "steps: expected at least 1, got 0"),
+            (["roughness", "--samples", "0"], "samples: expected at least 1, got 0"),
+        ],
+    )
+    def test_bad_number_exit_1(self, tmp_path, capsys, argv, message):
+        assert run_in(tmp_path, argv + ["--out", "x.csv"]) == 1
+        assert capsys.readouterr().err.strip() == f"qal {argv[0]}: {message}"
+        assert not (tmp_path / "x.csv").exists()
+
     def test_removed_reference_flag_exit_1(self, tmp_path, capsys):
         assert run_in(tmp_path, ["quantum-compare", "--refine", "4"]) == 1
         assert "unrecognized arguments: --refine" in capsys.readouterr().err
@@ -339,6 +354,61 @@ class TestCommands:
 
     def test_no_command_exit_1(self, tmp_path):
         assert run_in(tmp_path, []) == 1
+
+
+# a small run of every command in the table
+SMALL_ARGV = {
+    "histogram": ["--p", ".5,.5", "--gamma", ".1,.3"],
+    "census": ["--m", "2", "--n", "2"],
+    "identity-check": ["--p", ".5,.5", "--gamma", ".2,.2", "--n", "2"],
+    "phase-solve": ["--p", ".5,.5", "--gamma", ".2,.2", "--n", "2"],
+    "simulate-game": ["--p", ".5,.5", "--gamma", ".2,.2", "--trials", "100"],
+    "propagate-game": ["--p", ".5,.5", "--steps", "2", "--boundary", "wrap"],
+    "quantum-propagate": ["--steps", "4", "--grid-nodes", "101"],
+    "quantum-compare": ["--time", "0.04", "--eps-ladder", "4e-3,2e-3", "--grid-nodes", "101"],
+    "uncertainty": ["--n-states", "2", "--grid-nodes", "101"],
+    "roughness": ["--eps-ladder", "4e-3,2e-3", "--samples", "200", "--steps", "4"],
+}
+
+PLOT_SCHEMAS = {
+    "histogram": {"histogram"},
+    "convergence": {"convergence", "roughness"},
+    "wavepacket": {"wavepacket"},
+}
+
+
+@pytest.fixture(scope="module")
+def command_csvs(tmp_path_factory):
+    """Exit code and CSV path of one small run of each command."""
+    tmp = tmp_path_factory.mktemp("commands")
+    return {
+        command: (run_in(tmp, [command, *argv, "--out", f"{command}.csv"]), tmp / f"{command}.csv")
+        for command, argv in SMALL_ARGV.items()
+    }
+
+
+class TestCommandTable:
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_every_command_writes_its_schema(self, command_csvs, command):
+        assert set(SMALL_ARGV) == set(COMMANDS)
+        code, path = command_csvs[command]
+        assert code == 0
+        metadata, header, rows = read_csv(path)
+        assert metadata["schema"] == COMMANDS[command].schema
+        assert rows
+        assert all(len(row) == len(header) for row in rows)
+
+    @pytest.mark.parametrize("kind", sorted(PLOT_SCHEMAS))
+    def test_plot_kind_accepts_exactly_its_schemas(self, command_csvs, tmp_path, kind):
+        accepted = set()
+        for command, (_, path) in command_csvs.items():
+            try:
+                target = emit_plot_script(str(path), kind, str(tmp_path / f"{command}.py"))
+            except UnknownSchema:
+                continue
+            compile(Path(target).read_text(), target, "exec")
+            accepted.add(COMMANDS[command].schema)
+        assert accepted == PLOT_SCHEMAS[kind]
 
 
 class TestReproducibility:
