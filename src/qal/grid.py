@@ -73,13 +73,13 @@ class StateGrid:
         off = np.abs(xs - (self.x0 + ks * self.dx)) > 0.5 * self.dx * (1.0 + 1e-9)
         if np.any(off):
             raise OffGridImage(
-                f"image {xs[off][0]!r} is farther than dx/2 from any node"
+                f"image {float(xs[off][0])} is farther than dx/2 from any node"
             )
         if wrap:
             return np.mod(ks, self.size)
         if np.any(ks < 0) or np.any(ks >= self.size):
             bad = xs[(ks < 0) | (ks >= self.size)][0]
-            raise OffGridImage(f"image {bad!r} falls outside the grid")
+            raise OffGridImage(f"image {float(bad)} falls outside the grid")
         return ks
 
     def wavenumbers(self) -> np.ndarray:

@@ -425,7 +425,8 @@ def joint_path_density(
     """Brute-force product of per-step read laws over all state sequences."""
     if steps < 1:
         raise ValueError("need at least one step")
-    if grid.size**steps > JOINT_GUARD:
+    # labels that land on one node merge, so sequences never outnumber label paths
+    if spec.noise.m**steps > JOINT_GUARD:
         raise SizeGuardExceeded("state-sequence table exceeds the size guard")
     kernel = effective_kernel(spec, grid, boundary)
     start = grid.snap_index(x0)

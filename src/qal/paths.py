@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 from typing import Iterator, Sequence
 
 import numpy as np
-from scipy.optimize import least_squares
+from scipy.optimize import minimize
 
 from .core import BareDistribution, CouplingMatrix, symmetric_coupling
 from .errors import DimensionMismatch, SizeGuardExceeded
@@ -462,8 +462,8 @@ def _group_jacobian(constraints: ConstraintSet, phi: np.ndarray) -> np.ndarray:
     """Dense (n_groups, K) derivative of the group residuals in every path phase.
 
     One bincount over the flat (group, path) cells, -sin terms first.  It
-    equals the two-pass ``np.add.at`` construction bit for bit, so
-    least-squares trajectories do not depend on how it is built.
+    equals the two-pass ``np.add.at`` construction bit for bit, so solver
+    trajectories do not depend on how it is built.
     """
     ii, jj, ginv = constraints.pair_i, constraints.pair_j, constraints.group_inverse
     k, n_groups = phi.size, constraints.n_groups
@@ -474,28 +474,20 @@ def _group_jacobian(constraints: ConstraintSet, phi: np.ndarray) -> np.ndarray:
 
 
 def solve_phases(
-    constraints: ConstraintSet,
-    *,
-    max_iter: int = 400,
-    tol: float = 1e-8,
-    restarts: int = 8,
-    seed: int = 0,
+    constraints: ConstraintSet, *, tol: float = 1e-8, restarts: int = 8, seed: int = 0
 ) -> tuple[PhaseAssignment, SolveReport]:
-    """Gauge-fixed least squares over the radix-grouped cosine constraints.
+    """Gauge-fixed minimax of the largest radix-group cosine residual.
 
-    Starts are tried in order: an evenly spread one, then the random
-    restarts.  Each start is scored before it is optimized; one already
-    within ``tol`` is taken as it is, and the first start within ``tol``
-    ends the search.  Deterministic given the seed: restarts draw their
-    initial phases from per-restart generator substreams keyed by restart
-    index.  Non-convergence is reported, not raised.
+    Starts are tried in order: the all-equal assignment (every phase 0, so no
+    report is worse than leaving the phases alone), an evenly spread one, then
+    the random restarts, drawn from per-restart substreams of ``seed``.  Each
+    start is scored first; the first within ``tol`` ends the search, and each
+    other one runs one epigraph minimax by SLSQP: minimize t subject to
+    -t <= r_g <= t.  Non-convergence is reported, not raised.
     """
-    k = constraints.n_paths
-    n_groups = constraints.n_groups
-
+    k, n_groups = constraints.n_paths, constraints.n_groups
     bad = constraints.infeasible_pairs()
     if bad.size:
-        phases = PhaseAssignment(constraints.paths, np.zeros(k))
         report = SolveReport(
             feasible=False,
             converged=False,
@@ -507,40 +499,43 @@ def solve_phases(
             best_start=-1,
             infeasible_indices=bad,
         )
-        return phases, report
+        return PhaseAssignment(constraints.paths, np.zeros(k)), report
 
-    def fun(theta: np.ndarray) -> np.ndarray:
-        return _group_residuals(constraints, np.concatenate(([0.0], theta)))
+    def residuals(x: np.ndarray) -> np.ndarray:
+        # x holds the K - 1 free phases (path 0 is held at 0), then t if present
+        return _group_residuals(constraints, np.concatenate(([0.0], x[: k - 1])))
 
-    def jac(theta: np.ndarray) -> np.ndarray:
-        return _group_jacobian(constraints, np.concatenate(([0.0], theta)))[:, 1:]
+    def bounds_jac(x: np.ndarray) -> np.ndarray:
+        jac = _group_jacobian(constraints, np.concatenate(([0.0], x[: k - 1])))[:, 1:]
+        return np.hstack((np.vstack((-jac, jac)), np.ones((2 * n_groups, 1))))
 
-    starts = [(np.pi * np.arange(k) / k)[1:]]
+    # both residual bounds as one stacked inequality: t - r_g >= 0, t + r_g >= 0
+    epigraph = {
+        "type": "ineq",
+        "fun": lambda x: (x[-1] - np.multiply.outer((1.0, -1.0), residuals(x))).ravel(),
+        "jac": bounds_jac,
+    }
+    d_t = np.append(np.zeros(k - 1), 1.0)  # gradient of the objective t
+
     streams = np.random.SeedSequence(seed).spawn(max(restarts, 0))
-    for stream in streams:
-        rng = np.random.default_rng(stream)
-        starts.append(rng.uniform(-np.pi, np.pi, k - 1))
-
-    # MINPACK needs at least as many residuals as variables; endpoint-filtered
-    # problems can be underdetermined, which trust-region reflective accepts
-    method = "lm" if n_groups >= max(k - 1, 1) else "trf"
+    starts = [np.zeros(k - 1), (np.pi * np.arange(k) / k)[1:]] + [
+        np.random.default_rng(stream).uniform(-np.pi, np.pi, k - 1) for stream in streams
+    ]
     best_theta = None
     best_res = float("inf")
     best_start = -1
     for idx, theta in enumerate(starts):
-        res = float(np.max(np.abs(fun(theta))) if n_groups else 0.0)
-        if res > tol and k > 1:
-            theta = least_squares(
-                fun,
-                theta,
-                jac=jac,
-                method=method,
-                max_nfev=max_iter * max(k, 2),
-                xtol=1e-14,
-                ftol=1e-14,
-                gtol=1e-14,
-            ).x
-            res = float(np.max(np.abs(fun(theta))))
+        res = float(np.max(np.abs(residuals(theta)), initial=0.0))
+        if res > tol:
+            theta = minimize(
+                lambda x: x[-1],
+                np.append(theta, res),
+                jac=lambda x: d_t,
+                method="SLSQP",
+                constraints=epigraph,
+                options={"maxiter": 200, "ftol": 1e-12},
+            ).x[:-1]
+            res = float(np.max(np.abs(residuals(theta))))
         if res < best_res:
             best_res = res
             best_theta = theta
@@ -548,7 +543,7 @@ def solve_phases(
         if best_res <= tol:
             break
 
-    phi = np.concatenate(([0.0], best_theta)) if k > 1 else np.zeros(1)
+    phi = np.concatenate(([0.0], best_theta))
     return _solved(constraints, phi, tol, starts_tried=idx + 1, best_start=best_start)
 
 
@@ -586,7 +581,7 @@ def single_round_phases(
     """Minimax phases of the M one-round paths, cos(theta_a - theta_b) = d_ab.
 
     M = 2 is exact; M = 3 is the exact minimax r* (:func:`_triangle_phases`),
-    with no least squares and no ``seed``; M >= 4 runs :func:`solve_phases`,
+    with no solver call and no ``seed``; M >= 4 runs :func:`solve_phases`,
     with the largest three-label r* as ``lower_bound``.  Infeasible couplings
     are reported as :func:`solve_phases` reports them.  Any N-round system's
     size-1 groups are one-round pairs, so ``lower_bound`` bounds every N-round

@@ -173,6 +173,8 @@ class WaveState:
         alpha: float = 1.0,
     ) -> "WaveState":
         """Minimum-uncertainty packet: position spread sigma, momentum kick p0."""
+        if not sigma > 0.0:
+            raise ValueError(f"packet width sigma must be positive, got {sigma}")
         x = grid.nodes
         envelope = np.exp(-((x - center) ** 2) / (4.0 * sigma**2))
         phase = np.exp(1j * momentum * x / alpha)
@@ -504,6 +506,8 @@ def roughness_scan(
     if mode not in ("quantum", "classical"):
         raise ValueError("mode must be 'quantum' or 'classical'")
     eps_values = [float(e) for e in eps_values]
+    if not all(e > 0.0 for e in eps_values):
+        raise ValueError(f"every eps must be positive, got {eps_values}")
     streams = np.random.SeedSequence(seed).spawn(len(eps_values))
     points = []
     for eps, stream in zip(eps_values, streams):

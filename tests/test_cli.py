@@ -335,6 +335,13 @@ class TestCommands:
             (["simulate-game", "--p", ".5,.5", "--trials", "0"], "trials: expected at least 1, got 0"),
             (["quantum-propagate", "--steps", "0"], "steps: expected at least 1, got 0"),
             (["roughness", "--samples", "0"], "samples: expected at least 1, got 0"),
+            (["uncertainty", "--sigma0", "0"], "packet width sigma must be positive, got 0.0"),
+            (["roughness", "--eps-ladder", "0"], "every eps must be positive, got [0.0]"),
+            (["roughness", "--eps-ladder=1e-3,-1e-3"],
+             "every eps must be positive, got [0.001, -0.001]"),
+            # the default 21-node grid needs --boundary wrap once an edge node's image leaves it
+            (["propagate-game", "--p", ".5,.5", "--steps", "2"],
+             "image 11.0 falls outside the grid"),
         ],
     )
     def test_bad_number_exit_1(self, tmp_path, capsys, argv, message):

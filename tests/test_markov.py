@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qal.markov
 from memory_guards import capped_address_space, traced_peak
 from qal.core import LOST, BareDistribution, QRuleParams, effective_distribution, sample_readings
 from qal.errors import OffGridImage, SizeGuardExceeded
@@ -511,6 +512,19 @@ class TestJointPathDensity:
             for seq, p in zip(sequences, probs):
                 expected[seq[step - 1]] += p
             assert np.array_equal(density.marginal(step), expected)
+
+    def test_guard_counts_label_paths_not_grid_sequences(self, monkeypatch):
+        # 21^6 grid sequences would exceed the guard; the 2^6 label paths do not
+        density = joint_path_density(walk(), integer_grid(10), 0.0, 6, boundary="wrap")
+        assert len(density.sequences) == 64
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the walk started past the guard")
+
+        monkeypatch.setattr(qal.markov, "effective_kernel", forbidden)
+        steps = int(np.log2(qal.markov.JOINT_GUARD)) + 1  # 2^steps just past the guard
+        with pytest.raises(SizeGuardExceeded):
+            joint_path_density(walk(), integer_grid(3), 0.0, steps, boundary="wrap")
 
     def test_single_step_is_the_per_step_law(self):
         grid = integer_grid(3)
