@@ -29,9 +29,14 @@ for m, n in [(2, 1), (2, 2), (3, 2), (4, 3)]:
 print("\n== expansion at M=2, N=1 ==")
 bare = BareDistribution(np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
 coupling = symmetric_coupling(bare, [0.2, 0.2])
+def label_row(row):
+    # 1-based in displays, matching the usual outcome numbering
+    return ",".join(str(int(i) + 1) for i in row)
+
+
 for term in expand_paths(bare, coupling, 1):
     print(
-        f"  path {term.base} crossings {sorted(term.crossings)} "
+        f"  path {label_row(term.base)} crossings {sorted(term.crossings)} "
         f"value {term.value:+.3f} x{term.multiplicity}"
     )
 print("  total:", xi_sum(bare, coupling, 1), " (= (0.4 + 0.4)^1)")
@@ -39,8 +44,10 @@ print("  total:", xi_sum(bare, coupling, 1), " (= (0.4 + 0.4)^1)")
 print("\n== constraints at M=2, N=2 ==")
 cs = build_constraints(bare, coupling, 2)
 print(f"  {len(cs)} pair constraints in {cs.n_groups} radix groups")
-for c in cs[:3]:
-    print(f"  paths {c.path_i} vs {c.path_j}: differ at {c.diff_set}, target {c.target:+.4f}")
+for i, j, target in zip(cs.pair_i[:3], cs.pair_j[:3], cs.targets[:3]):
+    a, b = cs.paths[i], cs.paths[j]
+    differ = tuple(int(r) for r in np.flatnonzero(a != b))
+    print(f"  paths {label_row(a)} vs {label_row(b)}: differ at {differ}, target {target:+.4f}")
 
 print("\n== identity, two outcomes (exactly solvable) ==")
 for gamma, n in [(0.2, 1), (0.2, 2), (0.4, 3)]:

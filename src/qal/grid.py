@@ -54,11 +54,6 @@ class StateGrid:
     def x0(self) -> float:
         return float(self.nodes[0])
 
-    @property
-    def length(self) -> float:
-        """Periodic extent: one spacing past the last node."""
-        return self.size * self.dx
-
     def snap_index(self, x: float, wrap: bool = False) -> int:
         """Index of the node nearest to ``x``; the image must land within dx/2.
 

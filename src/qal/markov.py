@@ -10,7 +10,6 @@ path carries a square-root weight and a phase.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -25,7 +24,7 @@ from .core import (
     symmetric_coupling,
 )
 from .errors import DimensionMismatch, SizeGuardExceeded
-from .grid import StateGrid, check_dense_budget
+from .grid import StateGrid
 from .paths import ConstraintSet, PhaseAssignment, all_paths, constraints_for_pairs
 
 __all__ = [
@@ -209,11 +208,7 @@ class TransitionKernel:
 
     A successful reading of label j moves node k to node ``table[j, k]`` with
     observed probability ``probs[j]``; a lost reading keeps the state with
-    probability ``defect``.  The dense views are built only when read:
-    ``read_matrix[k', k]`` (cached) is the read probability of k -> k',
-    ``freeze`` the defect on every node and ``matrix`` the column-stochastic
-    ``read_matrix + diag(freeze)``.  Each is refused with SizeGuardExceeded,
-    naming its bytes, above ``grid.KERNEL_BYTE_BUDGET``.
+    probability ``defect``.  Nothing K×K is held.
     """
 
     table: np.ndarray
@@ -226,25 +221,6 @@ class TransitionKernel:
             raise DimensionMismatch("image table must have one row per label, one column per node")
         if abs(self.probs.sum() + self.defect - 1.0) > 1e-12:
             raise ValueError("kernel columns must sum to one including frozen mass")
-
-    @functools.cached_property
-    def read_matrix(self) -> np.ndarray:
-        check_dense_budget(self.grid.size, 8, "dense read matrix")
-        read = np.zeros((self.grid.size, self.grid.size))
-        cols = np.arange(self.grid.size)
-        for targets, p in zip(self.table, self.probs):
-            read[targets, cols] += p
-        return read
-
-    @property
-    def freeze(self) -> np.ndarray:
-        return np.full(self.grid.size, self.defect)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        # the cached read matrix, the diagonal and their sum
-        check_dense_budget(self.grid.size, 24, "dense kernel matrix")
-        return self.read_matrix + np.diag(self.freeze)
 
 
 def _image_table(spec: GameSpec, grid: StateGrid, boundary: str = "error") -> np.ndarray:
@@ -279,10 +255,10 @@ def propagate_distribution(
     """Apply the kernel ``steps`` times to a distribution on the grid.
 
     Each step scatters ``probs[j] * v`` onto the images ``table[j]`` with one
-    ``bincount``: O(M K), no K×K matrix, equal to ``kernel.matrix @ v`` up to
-    summation order.  With ``include_frozen`` the frozen mass ``defect * v``
-    stays in place and mass is conserved; without it only successful reads
-    propagate and the total shrinks by the defect each step.
+    ``bincount``: O(M K), no K×K matrix, equal to the dense column-stochastic
+    matvec up to summation order.  With ``include_frozen`` the frozen mass
+    ``defect * v`` stays in place and mass is conserved; without it only
+    successful reads propagate and the total shrinks by the defect each step.
     """
     e0 = np.asarray(e0, dtype=float)
     if e0.size != kernel.grid.size:
@@ -316,8 +292,9 @@ def amplitude_propagate(
 
     ``phases=None`` or an array of per-step, per-label phase increments uses
     the one-step complex transfer matrix (phases linear in the labels).  A
-    :class:`~qal.paths.PhaseAssignment` over full label paths triggers the
-    exact path sum, guarded by the path-count limit.
+    :class:`~qal.paths.PhaseAssignment` triggers the exact path sum, guarded
+    by the path-count limit; it must hold every label path exactly once, or
+    :class:`~qal.errors.DimensionMismatch` is raised.
     """
     psi = np.asarray(psi0, dtype=complex)
     if psi.size != grid.size:
@@ -329,11 +306,8 @@ def amplitude_propagate(
     m, k = table.shape
 
     if isinstance(phases, PhaseAssignment):
+        phases.check_covers(m, steps)
         paths_arr = phases.paths
-        if paths_arr.shape[1] != steps:
-            raise DimensionMismatch(
-                f"phase assignment covers {paths_arr.shape[1]} rounds, not {steps}"
-            )
         if k * paths_arr.shape[0] > PATH_SUM_GUARD:
             raise SizeGuardExceeded("exact path sum exceeds the size guard")
         radices = np.prod(sqrtp[paths_arr], axis=1)

@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
-from typing import Iterator, Sequence
+from dataclasses import dataclass, replace
+from typing import Iterator
 
 import numpy as np
 from scipy.optimize import minimize
@@ -31,10 +31,8 @@ from .core import BareDistribution, CouplingMatrix, symmetric_coupling
 from .errors import DimensionMismatch, SizeGuardExceeded
 
 __all__ = [
-    "ClassicalPath",
     "CensusReport",
     "ExpandedTerm",
-    "PairConstraint",
     "ConstraintSet",
     "PhaseAssignment",
     "SolveReport",
@@ -56,26 +54,6 @@ __all__ = [
 EXPANSION_GUARD = 10**7
 CONSTRAINT_GUARD = 4096
 PAIR_CHUNK = 1 << 15  # path pairs gathered at once when building constraints
-
-
-@dataclass(frozen=True)
-class ClassicalPath:
-    """Ordered sequence of outcome indices (0-based), one per round."""
-
-    indices: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.indices) < 1:
-            raise ValueError("a path needs at least one round")
-        if any(i < 0 for i in self.indices):
-            raise ValueError("path indices must be non-negative")
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-    def __str__(self) -> str:
-        # 1-based in displays, matching the usual outcome numbering
-        return ",".join(str(i + 1) for i in self.indices)
 
 
 # ---------------------------------------------------------------------------
@@ -134,12 +112,13 @@ class ExpandedTerm:
     """One canonical term of the expanded path sum.
 
     ``value`` is the bare product of probability and coupling factors for the
-    canonical representative (smaller index first at each crossing);
-    ``multiplicity`` counts the merged twin instances, 2 per crossing round.
-    The term contributes ``multiplicity * value`` to the path sum.
+    canonical representative (smaller index first at each crossing), whose
+    0-based label indices, one per round, are ``base``; ``multiplicity``
+    counts the merged twin instances, 2 per crossing round.  The term
+    contributes ``multiplicity * value`` to the path sum.
     """
 
-    base: ClassicalPath
+    base: tuple[int, ...]
     crossings: frozenset[tuple[int, int]]
     value: float
     multiplicity: int
@@ -188,7 +167,7 @@ def _iter_terms(
             if b is not None:
                 crossings.append((rnd, b))
         yield ExpandedTerm(
-            base=ClassicalPath(tuple(base)),
+            base=tuple(base),
             crossings=frozenset(crossings),
             value=value,
             multiplicity=1 << len(crossings),
@@ -240,28 +219,16 @@ def path_radices(bare: BareDistribution, paths: np.ndarray) -> np.ndarray:
     return np.sqrt(np.prod(bare.probs[paths], axis=1))
 
 
-@dataclass(frozen=True)
-class PairConstraint:
-    """Phase constraint between two classical paths.
+class ConstraintSet:
+    """Pair constraints between classical paths, with radix grouping, as arrays.
 
-    The target is the product of couplings over the rounds where the paths
-    differ; within its radix group the mean of cos(phi_i - phi_j) must match
-    the (shared) target.
-    """
-
-    path_i: ClassicalPath
-    path_j: ClassicalPath
-    diff_set: tuple[int, ...]
-    target: float
-
-
-class ConstraintSet(Sequence[PairConstraint]):
-    """Pair constraints over all requested path pairs, with radix grouping.
-
-    Stored as flat arrays; indexing materializes individual
-    :class:`PairConstraint` items.  ``group_inverse`` maps each pair to its
-    radix group (pairs sharing the per-round unordered label pattern), the
-    granularity at which the phase system is actually solved.
+    Constraint n ties the label rows ``paths[pair_i[n]]`` and
+    ``paths[pair_j[n]]``: cos(phi_i - phi_j) should equal ``targets[n]``, the
+    product of couplings over the rounds where the rows differ.
+    ``group_inverse`` maps each pair to its radix group (pairs sharing the
+    per-round unordered label pattern), the granularity at which the phase
+    system is actually solved; within a group the mean cosine must match the
+    shared target.  ``len`` counts the pairs.
     """
 
     def __init__(
@@ -304,20 +271,6 @@ class ConstraintSet(Sequence[PairConstraint]):
 
     def __len__(self) -> int:
         return int(self.pair_i.size)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        i = int(self.pair_i[index])
-        j = int(self.pair_j[index])
-        a, b = self.paths[i], self.paths[j]
-        diff = tuple(int(r) for r in np.nonzero(a != b)[0])
-        return PairConstraint(
-            path_i=ClassicalPath(tuple(int(v) for v in a)),
-            path_j=ClassicalPath(tuple(int(v) for v in b)),
-            diff_set=diff,
-            target=float(self.targets[index]),
-        )
 
     def infeasible_pairs(self) -> np.ndarray:
         """Indices of constraints whose target falls outside [-1, 1]."""
@@ -378,7 +331,6 @@ class PhaseAssignment:
 
     paths: np.ndarray
     phases: np.ndarray
-    _index: dict = field(repr=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         paths = np.asarray(self.paths, dtype=np.int64)
@@ -387,15 +339,24 @@ class PhaseAssignment:
             raise DimensionMismatch("one phase per path required")
         object.__setattr__(self, "paths", paths)
         object.__setattr__(self, "phases", phases)
-        index = {tuple(int(v) for v in p): i for i, p in enumerate(paths)}
-        object.__setattr__(self, "_index", index)
-
-    def phase_of(self, path) -> float:
-        key = tuple(path.indices) if isinstance(path, ClassicalPath) else tuple(path)
-        return float(self.phases[self._index[key]])
 
     def __len__(self) -> int:
         return int(self.phases.size)
+
+    def check_covers(self, m: int, n: int) -> None:
+        """Refuse unless the rows are every N-round path over labels 0..M-1, once each."""
+        rows = self.paths
+        if rows.ndim != 2 or rows.shape[1] != n:
+            raise DimensionMismatch(f"assignment covers {rows.shape[-1]} rounds, not {n}")
+        if (
+            rows.shape[0] != m**n
+            or rows.min() < 0
+            or rows.max() >= m
+            or np.unique(rows @ m ** np.arange(n)).size != m**n
+        ):
+            raise DimensionMismatch(
+                f"assignment must hold each of the {m}^{n} label paths exactly once"
+            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -611,12 +572,8 @@ def amplitude_sum(
     bare: BareDistribution, assignment: PhaseAssignment, n: int
 ) -> complex:
     """Coherent sum over classical paths: sum of radix * exp(i*phase)."""
-    paths = assignment.paths
-    if paths.shape[1] != n:
-        raise DimensionMismatch(f"assignment covers {paths.shape[1]} rounds, not {n}")
-    if paths.shape[0] != bare.m**n:
-        raise DimensionMismatch("assignment must cover every classical path")
-    radices = path_radices(bare, paths)
+    assignment.check_covers(bare.m, n)
+    radices = path_radices(bare, assignment.paths)
     return complex(np.sum(radices * np.exp(1j * assignment.phases)))
 
 

@@ -69,9 +69,8 @@ class ParticleParams:
     alpha: float = 1.0
     eps: float = 1e-3
     e0: float = 0.0
-    potential: str = "free"  # "free" | "harmonic" | "table"
+    potential: str = "free"  # "free" | "harmonic"
     omega: float = 1.0
-    potential_table: np.ndarray | None = None
     apodization: str = "none"  # "none" | "gaussian" | "window"
     sigma_y: float = 1.0
     window: float = 1.0
@@ -79,7 +78,7 @@ class ParticleParams:
     def __post_init__(self) -> None:
         if self.mass <= 0 or self.alpha <= 0 or self.eps <= 0:
             raise ValueError("mass, alpha, and eps must be positive")
-        if self.potential not in ("free", "harmonic", "table"):
+        if self.potential not in ("free", "harmonic"):
             raise ValueError(f"unknown potential {self.potential!r}")
         if self.apodization not in ("none", "gaussian", "window"):
             raise ValueError(f"unknown apodization {self.apodization!r}")
@@ -91,19 +90,13 @@ class ParticleParams:
     def potential_values(self, grid: StateGrid) -> np.ndarray:
         if self.potential == "free":
             return np.zeros(grid.size)
-        if self.potential == "harmonic":
-            return 0.5 * self.mass * self.omega**2 * grid.nodes**2
-        table = np.asarray(self.potential_table, dtype=float)
-        if table.shape != (grid.size,):
-            raise DimensionMismatch("potential table does not match the grid")
-        return table
+        return 0.5 * self.mass * self.omega**2 * grid.nodes**2
 
     def potential_gradient(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
         if self.potential == "free":
-            return np.zeros_like(np.asarray(x, dtype=float))
-        if self.potential == "harmonic":
-            return self.mass * self.omega**2 * np.asarray(x, dtype=float)
-        raise ValueError("gradient available for free and harmonic potentials only")
+            return np.zeros_like(x)
+        return self.mass * self.omega**2 * x
 
     def apodization_factor(self, y: np.ndarray) -> np.ndarray:
         """Square root of the bare-noise weight at scaled energy offset y."""
@@ -265,8 +258,8 @@ def propagate(
         raise ValueError("need at least one step")
     if kernel is None:
         kernel = build_kernel(params, psi0.grid)
-    if kernel.grid is not psi0.grid and kernel.grid.size != psi0.grid.size:
-        raise DimensionMismatch("kernel grid does not match the state grid")
+    if kernel.grid is not psi0.grid and not np.array_equal(kernel.grid.nodes, psi0.grid.nodes):
+        raise DimensionMismatch("kernel grid nodes differ from the state grid's")
     if np.all(kernel.vphase == 1.0):
         # a pure convolution: K^steps is the symbol to the power steps
         values = np.fft.ifft(kernel.symbol**steps * np.fft.fft(psi0.values))

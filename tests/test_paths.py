@@ -14,11 +14,11 @@ from scipy.optimize import brentq, minimize
 
 import qal.paths
 from qal.core import BareDistribution, CouplingMatrix, QRuleParams, symmetric_coupling
-from qal.errors import SizeGuardExceeded
+from qal.errors import DimensionMismatch, SizeGuardExceeded
 from qal.grid import StateGrid
 from qal.markov import GameSpec, endpoint_constraints, make_map
 from qal.paths import (
-    ClassicalPath,
+    PhaseAssignment,
     all_paths,
     amplitude_sum,
     build_constraints,
@@ -129,7 +129,7 @@ class TestExpandPaths:
             assert not t.crossings
             assert t.multiplicity == 1
             assert t.value == pytest.approx(
-                np.prod(P.probs[list(t.base.indices)]), abs=1e-15
+                np.prod(P.probs[list(t.base)]), abs=1e-15
             )
 
     def test_hand_expansion_m2_n1(self):
@@ -220,18 +220,17 @@ class TestConstraints:
         d = symmetric_coupling(P, [0.2, 0.2])
         cs = build_constraints(P, d, 1)
         assert len(cs) == 1
-        assert cs[0].target == pytest.approx(-0.2, abs=1e-12)
-        assert cs[0].diff_set == (0,)
+        assert cs.targets[0] == pytest.approx(-0.2, abs=1e-12)
+        assert np.flatnonzero(cs.paths[cs.pair_i[0]] != cs.paths[cs.pair_j[0]]).tolist() == [0]
 
     def test_m2_n2_pair_count_and_targets(self):
         P = bare([0.5, 0.5])
         d = symmetric_coupling(P, [0.2, 0.2])
         cs = build_constraints(P, d, 2)
         assert len(cs) == 6
-        for c in cs:
-            assert c.target == pytest.approx(d.d[0, 1] ** len(c.diff_set), abs=1e-12)
-        both = [c for c in cs if len(c.diff_set) == 2]
-        assert len(both) == 2
+        differ = (cs.paths[cs.pair_i] != cs.paths[cs.pair_j]).sum(axis=1)
+        assert np.allclose(cs.targets, d.d[0, 1] ** differ, rtol=0.0, atol=1e-12)
+        assert np.count_nonzero(differ == 2) == 2
 
     def test_twin_grouping(self):
         P = bare([0.5, 0.5])
@@ -326,10 +325,9 @@ class TestSolvePhases:
         d = symmetric_coupling(P, [0.2, 0.2])
         cs = build_constraints(P, d, 2)
         assignment, _ = solve_phases(cs, seed=6)
-        assert assignment.phase_of(ClassicalPath((0, 0))) == 0.0
-        assert assignment.phase_of((0, 1)) == pytest.approx(
-            assignment.phases[1], abs=0.0
-        )
+        rows = [tuple(row) for row in assignment.paths.tolist()]
+        assert assignment.phases[rows.index((0, 0))] == 0.0
+        assert assignment.phases[rows.index((0, 1))] == assignment.phases[1]
 
 
 class TestGroupJacobian:
@@ -587,19 +585,34 @@ class TestAmplitudeSum:
     def test_zero_phases(self):
         P = bare([0.5, 0.5])
         paths = all_paths(2, 1)
-        from qal.paths import PhaseAssignment
-
         amp = amplitude_sum(P, PhaseAssignment(paths, np.zeros(2)), 1)
         assert abs(amp) ** 2 == pytest.approx(2.0, abs=1e-12)
 
     def test_solved_phase_matches_xi(self):
         P = bare([0.5, 0.5])
         paths = all_paths(2, 1)
-        from qal.paths import PhaseAssignment
-
         phi = np.array([0.0, ARCCOS_MINUS_02])
         amp = amplitude_sum(P, PhaseAssignment(paths, phi), 1)
         assert abs(amp) ** 2 == pytest.approx(0.8, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[0, 0], [0, 1], [0, 1], [1, 1]],  # right count, one path twice
+            [[0, 0], [0, 1], [1, 0]],  # a path missing
+            [[0, 0], [0, 1], [1, 0], [1, -1]],  # label -1 would index the last label
+            [[0, 0], [0, 1], [1, 0], [1, 2]],  # label past M - 1
+        ],
+    )
+    def test_refuses_rows_that_are_not_every_path_once(self, rows):
+        P = bare([0.5, 0.5])
+        rows = np.array(rows)
+        with pytest.raises(DimensionMismatch, match="exactly once"):
+            amplitude_sum(P, PhaseAssignment(rows, np.zeros(len(rows))), 2)
+
+    def test_refuses_an_assignment_over_other_rounds(self):
+        with pytest.raises(DimensionMismatch, match="covers 3 rounds, not 2"):
+            amplitude_sum(bare([0.5, 0.5]), PhaseAssignment(all_paths(2, 3), np.zeros(8)), 2)
 
 
 class TestIdentityCheck:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from memory_guards import capped_address_space, traced_peak
-from qal.errors import PhaseWrapGuard, SizeGuardExceeded
+from qal.errors import DimensionMismatch, PhaseWrapGuard, SizeGuardExceeded
 from qal.grid import StateGrid
 from qal.quantum import (
     ParticleParams,
@@ -270,6 +270,20 @@ class TestPropagate:
         result = propagate(psi0, params, 200)
         assert np.allclose(
             np.abs(result.state.values), np.abs(psi0.values), atol=1e-10
+        )
+
+    def test_kernel_on_other_nodes_refused(self):
+        params = ParticleParams(eps=1e-3)
+        psi0 = WaveState.gaussian(StateGrid.from_range(-40.0, 40.0, 101), sigma=2.0)
+        # same node count, other nodes: the kernel's spacing would be wrong
+        foreign = build_kernel(params, StateGrid.from_range(-10.0, 10.0, 101))
+        with pytest.raises(DimensionMismatch, match="nodes"):
+            propagate(psi0, params, 10, kernel=foreign)
+        # an equal grid built separately is accepted
+        twin = build_kernel(params, StateGrid.from_range(-40.0, 40.0, 101))
+        assert np.array_equal(
+            propagate(psi0, params, 10, kernel=twin).state.values,
+            propagate(psi0, params, 10).state.values,
         )
 
     def test_apodized_propagation_records_norm_loss(self):
