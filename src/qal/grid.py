@@ -1,4 +1,4 @@
-"""Uniform 1-d state grids shared by the game and wave modules; dense K×K byte budget."""
+"""Uniform 1-d state grids shared by the game and wave modules; byte and chunk budgets."""
 
 from __future__ import annotations
 
@@ -10,15 +10,19 @@ from .errors import DimensionMismatch, OffGridImage, SizeGuardExceeded
 
 _UNIFORMITY_ATOL = 1e-12
 
-#: most bytes a dense K×K build or view may allocate; larger grids are
-#: refused before any K×K array exists
+#: most bytes a dense build or view may allocate; larger inputs are refused
+#: before any such array exists
 KERNEL_BYTE_BUDGET = 1 << 31
 
+#: most values a Monte Carlo loop holds at once, so its memory does not grow
+#: with its sample count; no result depends on it
+CHUNK_VALUES = 1 << 17
 
-def check_dense_budget(size: int, bytes_per_entry: int, what: str) -> None:
-    need = bytes_per_entry * size**2
+
+def check_dense_budget(rows: int, cols: int, bytes_per_entry: int, what: str) -> None:
+    need = bytes_per_entry * rows * cols
     if need > KERNEL_BYTE_BUDGET:
-        raise SizeGuardExceeded(f"{what}: ~{need} bytes for {size} nodes > {KERNEL_BYTE_BUDGET}")
+        raise SizeGuardExceeded(f"{what}: ~{need} bytes for {rows}×{cols} > {KERNEL_BYTE_BUDGET}")
 
 
 @dataclass(frozen=True, eq=False)

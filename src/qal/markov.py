@@ -24,7 +24,7 @@ from .core import (
     symmetric_coupling,
 )
 from .errors import DimensionMismatch, SizeGuardExceeded
-from .grid import StateGrid
+from .grid import CHUNK_VALUES, StateGrid
 from .paths import ConstraintSet, PhaseAssignment, all_paths, constraints_for_pairs
 
 __all__ = [
@@ -44,8 +44,6 @@ __all__ = [
 PATH_SUM_GUARD = 10**7
 JOINT_GUARD = 10**7
 DEFAULT_BLOCK = 4096
-# most trial-rounds of readings a block draws at once, so memory does not grow with rounds
-_CHUNK_DRAWS = 1 << 17
 
 
 def make_map(name: str, **params) -> Callable[[np.ndarray], np.ndarray]:
@@ -143,7 +141,7 @@ def _simulate_block(
 ) -> tuple[np.ndarray, np.ndarray]:
     x = np.full(count, float(x0))
     frozen = np.zeros(count, dtype=np.int64)
-    chunk = max(1, _CHUNK_DRAWS // count)
+    chunk = max(1, CHUNK_VALUES // count)  # rounds of readings drawn at once
     for first in range(0, rounds, chunk):
         reads = sample_readings(spec.noise, spec.rules, rng, (min(chunk, rounds - first), count))
         lost = reads == LOST
@@ -313,12 +311,14 @@ def amplitude_propagate(
         radices = np.prod(sqrtp[paths_arr], axis=1)
         amps = radices * np.exp(1j * phases.phases)
         out = np.zeros(k, dtype=complex)
-        start = np.arange(k)
+        # nodes where psi vanishes add only zeros; walking them changes no sum
+        start = np.flatnonzero(psi)
+        weights = psi[start]
         for path, amp in zip(paths_arr, amps):
             cur = start
             for label in path:
                 cur = table[label, cur]
-            np.add.at(out, cur, amp * psi)
+            np.add.at(out, cur, amp * weights)
         return out
 
     if phases is None:

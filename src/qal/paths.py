@@ -29,6 +29,7 @@ from scipy.optimize import minimize
 
 from .core import BareDistribution, CouplingMatrix, symmetric_coupling
 from .errors import DimensionMismatch, SizeGuardExceeded
+from .grid import check_dense_budget
 
 __all__ = [
     "CensusReport",
@@ -444,9 +445,15 @@ def solve_phases(
     the random restarts, drawn from per-restart substreams of ``seed``.  Each
     start is scored first; the first within ``tol`` ends the search, and each
     other one runs one epigraph minimax by SLSQP: minimize t subject to
-    -t <= r_g <= t.  Non-convergence is reported, not raised.
+    -t <= r_g <= t.  Non-convergence is reported, not raised.  A system whose
+    dense group Jacobian would exceed ``grid.KERNEL_BYTE_BUDGET`` is refused
+    with :class:`~qal.errors.SizeGuardExceeded` before anything is built.
     """
     k, n_groups = constraints.n_paths, constraints.n_groups
+    # peak of an SLSQP run: the dense (n_groups, K) Jacobian, its stacked
+    # (2 n_groups, K) inequality rows and SLSQP's workspace; 122 and 114 B
+    # per cell of resident memory on the full M=2 system at N=7 and 8
+    check_dense_budget(n_groups, k, 128, "phase solve")
     bad = constraints.infeasible_pairs()
     if bad.size:
         report = SolveReport(

@@ -24,12 +24,13 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatch, PhaseWrapGuard
-from .grid import StateGrid, check_dense_budget
+from .grid import CHUNK_VALUES, StateGrid, check_dense_budget
 
 __all__ = [
     "ParticleParams",
@@ -202,7 +203,7 @@ class KernelMatrix:
     @functools.cached_property
     def matrix(self) -> np.ndarray:
         # peak: int64 gather indices and the complex entries
-        check_dense_budget(self.grid.size, 24, "dense kernel view")
+        check_dense_budget(self.grid.size, self.grid.size, 24, "dense kernel view")
         return _dense_entries(np.fft.ifft(self.symbol), self.vphase)
 
     def apply(self, values: np.ndarray) -> np.ndarray:
@@ -251,15 +252,11 @@ def propagate(
     psi0: WaveState,
     params: ParticleParams,
     steps: int,
-    kernel: KernelMatrix | None = None,
 ) -> PropagationResult:
     """Apply the one-step kernel ``steps`` times; renormalize at the end."""
     if steps < 1:
         raise ValueError("need at least one step")
-    if kernel is None:
-        kernel = build_kernel(params, psi0.grid)
-    if kernel.grid is not psi0.grid and not np.array_equal(kernel.grid.nodes, psi0.grid.nodes):
-        raise DimensionMismatch("kernel grid nodes differ from the state grid's")
+    kernel = build_kernel(params, psi0.grid)
     if np.all(kernel.vphase == 1.0):
         # a pure convolution: K^steps is the symbol to the power steps
         values = np.fft.ifft(kernel.symbol**steps * np.fft.fft(psi0.values))
@@ -290,7 +287,7 @@ def reference_solver(
     size = grid.size
     # peak, while eigh holds H, its LAPACK copy and workspace and the modes:
     # 45 and 41 B per entry of resident memory at K=801 and 2001
-    check_dense_budget(size, 48, "reference Hamiltonian")
+    check_dense_budget(size, size, 48, "reference Hamiltonian")
     kinetic = (params.alpha * grid.wavenumbers()) ** 2 / (2.0 * params.mass)
     hamiltonian = _dense_entries(np.fft.ifft(kinetic).real, np.ones(size))
     hamiltonian.flat[:: size + 1] += params.potential_values(grid)
@@ -495,33 +492,44 @@ def roughness_scan(
     Classical mode follows the smooth path x = offset + v t instead, whose
     increments scale as eps^2.  With ``dx`` set, positions are quantized to
     that lattice before differencing.
+
+    Paths are drawn and reduced a bounded chunk of rows at a time, so memory
+    does not grow with ``n_samples``; every drawn value is the one a single
+    whole-ensemble draw returns.
     """
     if mode not in ("quantum", "classical"):
         raise ValueError("mode must be 'quantum' or 'classical'")
+    if n_steps < 1 or n_samples < 1:
+        raise ValueError("need at least one step and one sample")
     eps_values = [float(e) for e in eps_values]
     if not all(e > 0.0 for e in eps_values):
         raise ValueError(f"every eps must be positive, got {eps_values}")
+    count = n_samples if mode == "quantum" else 1
+    rows = min(count, max(1, CHUNK_VALUES // (n_steps + 1)))
+    xs = np.empty((rows, n_steps + 1))
+    increments = np.empty((rows, n_steps))
     streams = np.random.SeedSequence(seed).spawn(len(eps_values))
     points = []
     for eps, stream in zip(eps_values, streams):
-        if mode == "classical":
-            xs = (offset + velocity * eps * np.arange(n_steps + 1))[None, :]
-            increments = np.empty((1, n_steps))
-        else:
-            rng = np.random.default_rng(stream)
-            scale = np.sqrt(eps * params.alpha / params.mass)
-            increments = rng.normal(0.0, scale, size=(n_samples, n_steps))
-            xs = np.zeros((n_samples, n_steps + 1))
-            np.cumsum(increments, axis=1, out=xs[:, 1:])
-            xs += offset
-        if dx is not None:
-            np.divide(xs, dx, out=xs)
-            np.rint(xs, out=xs)
-            np.multiply(xs, dx, out=xs)
-        np.subtract(xs[:, 1:], xs[:, :-1], out=increments)
-        mean_sq = float(np.mean(np.square(increments, out=increments)))
+        rng = np.random.default_rng(stream)
+        scale = np.sqrt(eps * params.alpha / params.mass)
+        sums = []
+        for first in range(0, count, rows):
+            x, inc = xs[: count - first], increments[: count - first]
+            if mode == "classical":
+                x[0] = offset + velocity * eps * np.arange(n_steps + 1)
+            else:
+                np.cumsum(rng.normal(0.0, scale, size=inc.shape), axis=1, out=x[:, 1:])
+                x[:, 0] = 0.0
+                x += offset
+            if dx is not None:
+                np.divide(x, dx, out=x)
+                np.rint(x, out=x)
+                np.multiply(x, dx, out=x)
+            np.subtract(x[:, 1:], x[:, :-1], out=inc)
+            sums.append(np.sum(np.square(inc, out=inc)))
+        mean_sq = math.fsum(sums) / (count * n_steps)
         points.append(RoughnessPoint(eps, mean_sq, mean_sq / eps))
-        del xs, increments  # freed before the next eps draws its own
     return RoughnessReport(mode=mode, points=tuple(points))
 
 

@@ -379,6 +379,19 @@ class TestPropagateDistribution:
         assert out.sum() == pytest.approx(0.8**3, abs=1e-12)
 
 
+def full_start_path_sum(spec, grid, psi0, assignment):
+    """Oracle: the exact path sum walking every label path from every node."""
+    table = _image_table(spec, grid, "wrap")
+    radices = np.prod(np.sqrt(spec.noise.probs)[assignment.paths], axis=1)
+    out = np.zeros(grid.size, dtype=complex)
+    for path, amp in zip(assignment.paths, radices * np.exp(1j * assignment.phases)):
+        cur = np.arange(grid.size)
+        for label in path:
+            cur = table[label, cur]
+        np.add.at(out, cur, amp * psi0)
+    return out
+
+
 class TestAmplitudePropagate:
     def no_collision_spec(self, gamma=0.0):
         # x -> 3x +- 1 never sends two (node, label) pairs to the same node
@@ -464,6 +477,25 @@ class TestAmplitudePropagate:
         path_sum = amplitude_propagate(spec, grid, psi0, steps, phases=lifted, boundary="wrap")
         transfer = amplitude_propagate(spec, grid, psi0, steps, phases=theta, boundary="wrap")
         assert np.max(np.abs(path_sum - transfer)) <= 1e-12
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_support_started_path_sum_equals_the_full_start_walk(self, seed):
+        rng = np.random.default_rng(seed)
+        spec = random_game(rng, make_map("identity"))
+        grid = integer_grid(int(rng.integers(3, 10)))
+        steps = int(rng.integers(1, 5))
+        psi0 = rng.normal(size=grid.size) + 1j * rng.normal(size=grid.size)
+        kind = rng.integers(3)  # point, sparse (possibly empty) or dense start
+        if kind == 0:
+            psi0 = np.zeros(grid.size, dtype=complex)
+            psi0[rng.integers(grid.size)] = 1.0
+        elif kind == 1:
+            psi0[rng.random(grid.size) < 0.7] = 0.0
+        m = spec.noise.m
+        assignment = PhaseAssignment(all_paths(m, steps), rng.uniform(-np.pi, np.pi, m**steps))
+        path_sum = amplitude_propagate(spec, grid, psi0, steps, phases=assignment, boundary="wrap")
+        assert np.array_equal(path_sum, full_start_path_sum(spec, grid, psi0, assignment))
 
     @pytest.mark.parametrize(
         "rows",

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq, minimize
 
 import qal.paths
+from memory_guards import capped_address_space, traced_peak
 from qal.core import BareDistribution, CouplingMatrix, QRuleParams, symmetric_coupling
 from qal.errors import DimensionMismatch, SizeGuardExceeded
 from qal.grid import StateGrid
@@ -319,6 +320,20 @@ class TestSolvePhases:
         a2, r2 = solve_phases(cs, seed=123, restarts=4)
         assert np.array_equal(a1.phases, a2.phases)
         assert r1.max_residual == r2.max_residual
+
+    @pytest.mark.parametrize("n", [10, 11])
+    def test_refused_over_budget_before_allocating(self, n):
+        # N=9, at 19 171 groups x 512 paths x 128 B = 1.26 GB, is the largest
+        # full M=2 system admitted; N=11's Jacobian alone would be 2.9 GB
+        P = bare([0.5, 0.5])
+        cs = build_constraints(P, symmetric_coupling(P, [0.2, 0.2]), n)
+        need = 128 * cs.n_groups * cs.n_paths
+
+        def solve():
+            with capped_address_space(), pytest.raises(SizeGuardExceeded, match=str(need)):
+                solve_phases(cs, restarts=0)
+
+        assert traced_peak(solve) < 1 << 20
 
     def test_phase_lookup(self):
         P = bare([0.5, 0.5])

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from memory_guards import capped_address_space, traced_peak
-from qal.errors import DimensionMismatch, PhaseWrapGuard, SizeGuardExceeded
-from qal.grid import StateGrid
+from qal.errors import PhaseWrapGuard, SizeGuardExceeded
+from qal.grid import CHUNK_VALUES, StateGrid
 from qal.quantum import (
     ParticleParams,
     WaveState,
@@ -272,20 +272,6 @@ class TestPropagate:
             np.abs(result.state.values), np.abs(psi0.values), atol=1e-10
         )
 
-    def test_kernel_on_other_nodes_refused(self):
-        params = ParticleParams(eps=1e-3)
-        psi0 = WaveState.gaussian(StateGrid.from_range(-40.0, 40.0, 101), sigma=2.0)
-        # same node count, other nodes: the kernel's spacing would be wrong
-        foreign = build_kernel(params, StateGrid.from_range(-10.0, 10.0, 101))
-        with pytest.raises(DimensionMismatch, match="nodes"):
-            propagate(psi0, params, 10, kernel=foreign)
-        # an equal grid built separately is accepted
-        twin = build_kernel(params, StateGrid.from_range(-40.0, 40.0, 101))
-        assert np.array_equal(
-            propagate(psi0, params, 10, kernel=twin).state.values,
-            propagate(psi0, params, 10).state.values,
-        )
-
     def test_apodized_propagation_records_norm_loss(self):
         grid = make_grid(8.0, 0.05)
         params = ParticleParams(eps=4e-3, apodization="gaussian", sigma_y=0.2)
@@ -477,7 +463,89 @@ class TestClassicalPath:
         assert report.perturbation_ratio == pytest.approx(4.0, rel=0.05)
 
 
+def whole_array_scan(
+    params, eps_values, *, n_steps, n_samples, seed, mode="quantum", velocity=1.0,
+    dx=None, offset=0.0,
+):
+    """Oracle: the roughness scan holding every sampled path at once."""
+    streams = np.random.SeedSequence(seed).spawn(len(eps_values))
+    means = []
+    for eps, stream in zip(eps_values, streams):
+        if mode == "classical":
+            xs = (offset + velocity * eps * np.arange(n_steps + 1))[None, :]
+            increments = np.empty((1, n_steps))
+        else:
+            rng = np.random.default_rng(stream)
+            scale = np.sqrt(eps * params.alpha / params.mass)
+            increments = rng.normal(0.0, scale, size=(n_samples, n_steps))
+            xs = np.zeros((n_samples, n_steps + 1))
+            np.cumsum(increments, axis=1, out=xs[:, 1:])
+            xs += offset
+        if dx is not None:
+            np.divide(xs, dx, out=xs)
+            np.rint(xs, out=xs)
+            np.multiply(xs, dx, out=xs)
+        np.subtract(xs[:, 1:], xs[:, :-1], out=increments)
+        means.append(float(np.mean(np.square(increments, out=increments))))
+    return means
+
+
+def chunk_rows(n_steps):
+    """Paths one chunk holds; at n_steps = CHUNK_VALUES a single path is over budget."""
+    return max(1, CHUNK_VALUES // (n_steps + 1))
+
+
+# 1, rows - 1, rows, rows + 1 and 3 rows + 5 paths: single chunks, an exact
+# fit, one spilled path and a ragged last chunk
+STREAM_CASES = sorted(
+    {
+        (n_steps, n_samples)
+        for n_steps in (1, 64, CHUNK_VALUES)
+        for rows in [chunk_rows(n_steps)]
+        for n_samples in (1, rows - 1, rows, rows + 1, 3 * rows + 5)
+        if n_samples >= 1
+    }
+)
+
+
 class TestRoughness:
+    @pytest.mark.parametrize("lattice", [None, 0.02], ids=["continuous", "dx-offset"])
+    @pytest.mark.parametrize(
+        "n_steps, n_samples", STREAM_CASES, ids=[f"{s}x{n}" for s, n in STREAM_CASES]
+    )
+    def test_streamed_scan_matches_the_whole_array_scan(self, n_steps, n_samples, lattice):
+        params = ParticleParams(mass=0.7, alpha=1.3)
+        kwargs = dict(n_steps=n_steps, n_samples=n_samples, seed=n_samples, dx=lattice)
+        if lattice is not None:
+            kwargs["offset"] = 0.3 * lattice
+        eps_values = [4e-3, 1e-3]
+        streamed = roughness_scan(params, eps_values, **kwargs)
+        expected = whole_array_scan(params, eps_values, **kwargs)
+        for point, oracle in zip(streamed.points, expected):
+            if n_samples <= chunk_rows(n_steps):  # one chunk: the same sum in the same order
+                assert point.mean_sq_increment == oracle
+            else:  # the samples are identical; only the summation order differs
+                assert abs(point.mean_sq_increment - oracle) <= 2 * np.spacing(oracle)
+
+    @pytest.mark.parametrize("lattice", [None, 1e-4], ids=["continuous", "dx-offset"])
+    def test_classical_scan_is_the_whole_array_scan(self, lattice):
+        kwargs = dict(n_steps=64, n_samples=10**6, seed=0, mode="classical", velocity=2.5,
+                      dx=lattice, offset=0.0 if lattice is None else 0.3 * lattice)
+        report = roughness_scan(ParticleParams(), [4e-3, 2e-3], **kwargs)
+        expected = whole_array_scan(ParticleParams(), [4e-3, 2e-3], **kwargs)
+        assert [p.mean_sq_increment for p in report.points] == expected
+
+    def test_memory_does_not_grow_with_samples(self):
+        # the whole-array scan holds ~410 MB of increments and positions here
+        with capped_address_space():
+            report = roughness_scan(ParticleParams(), [1e-3], n_steps=64, n_samples=400_000)
+        assert report.points[0].mean_sq_over_eps == pytest.approx(1.0, rel=0.01)
+
+    @pytest.mark.parametrize("bad", [dict(n_steps=0), dict(n_samples=0)])
+    def test_empty_ensemble_refused(self, bad):
+        with pytest.raises(ValueError, match="at least one"):
+            roughness_scan(ParticleParams(), [1e-3], **bad)
+
     def test_diffusive_scaling(self):
         params = ParticleParams()
         report = roughness_scan(
