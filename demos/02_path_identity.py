@@ -34,11 +34,13 @@ def label_row(row):
     return ",".join(str(int(i) + 1) for i in row)
 
 
-for term in expand_paths(bare, coupling, 1):
-    print(
-        f"  path {label_row(term.base)} crossings {sorted(term.crossings)} "
-        f"value {term.value:+.3f} x{term.multiplicity}"
-    )
+terms = expand_paths(bare, coupling, 1)
+for base, partner, value, multiplicity in zip(
+    terms.base, terms.partner, terms.value, terms.multiplicity
+):
+    # (round, partner) of each crossing round
+    crossings = [(r, int(b)) for r, b in enumerate(partner) if b >= 0]
+    print(f"  path {label_row(base)} crossings {crossings} value {value:+.3f} x{multiplicity}")
 print("  total:", xi_sum(bare, coupling, 1), " (= (0.4 + 0.4)^1)")
 
 print("\n== constraints at M=2, N=2 ==")

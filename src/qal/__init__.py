@@ -24,7 +24,6 @@ from .core import (  # noqa: F401
     QRuleParams,
     effective_distribution,
     effective_from_coupling,
-    sample_reading,
     sample_readings,
     symmetric_coupling,
     symmetrizing_misreads,

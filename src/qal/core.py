@@ -37,7 +37,6 @@ __all__ = [
     "effective_from_coupling",
     "symmetric_coupling",
     "symmetrizing_misreads",
-    "sample_reading",
     "sample_readings",
 ]
 
@@ -293,12 +292,3 @@ def sample_readings(
     for edge in edges:
         pos += m * (read_u >= edge.take(true_idx))
     return outcomes.take(pos)
-
-
-def sample_reading(
-    bare: BareDistribution,
-    rules: QRuleParams,
-    rng: np.random.Generator,
-) -> int:
-    """Single reading outcome: an outcome index, or ``LOST``."""
-    return int(sample_readings(bare, rules, rng, 1)[0])

@@ -43,7 +43,7 @@ __all__ = [
 
 PATH_SUM_GUARD = 10**7
 JOINT_GUARD = 10**7
-DEFAULT_BLOCK = 4096
+_BLOCK = 4096  # trials per generator substream: the fixed partition of a run
 
 
 def make_map(name: str, **params) -> Callable[[np.ndarray], np.ndarray]:
@@ -53,7 +53,6 @@ def make_map(name: str, **params) -> Callable[[np.ndarray], np.ndarray]:
     constant(value): value
     linear(slope): slope * x
     quadratic(slope, curvature): slope * x + curvature * x^2
-    table(xs, ys): exact lookup over the listed support points
     """
     if name == "identity":
         return lambda x: np.asarray(x, dtype=float)
@@ -72,23 +71,6 @@ def make_map(name: str, **params) -> Callable[[np.ndarray], np.ndarray]:
             return slope * x + curvature * x * x
 
         return quadratic
-    if name == "table":
-        xs = np.asarray(params["xs"], dtype=float)
-        ys = np.asarray(params["ys"], dtype=float)
-        if xs.size != ys.size:
-            raise DimensionMismatch("table map needs matching xs and ys")
-        order = np.argsort(xs)
-        xs, ys = xs[order], ys[order]
-
-        def table(x):
-            x = np.asarray(x, dtype=float)
-            pos = np.searchsorted(xs, x)
-            pos = np.clip(pos, 0, xs.size - 1)
-            if np.any(np.abs(xs[pos] - x) > 1e-9):
-                raise ValueError("table map evaluated off its support")
-            return ys[pos]
-
-        return table
     raise ValueError(f"unknown map name {name!r}")
 
 
@@ -147,36 +129,17 @@ def _simulate_block(
         lost = reads == LOST
         frozen += lost.sum(axis=0)
         for row, lost_row in zip(reads, lost):
-            # the maps see live trials only: a table map need not cover a
-            # frozen trial's state
-            live = np.flatnonzero(~lost_row)
-            if live.size:
-                xk = x.take(live)
-                y = spec.noise.labels.take(row.take(live))
-                x[live] = spec.drift(xk) + spec.gain(xk) * y
+            # a lost read's LOST index takes some label; the mask discards it
+            x = np.where(lost_row, x, spec.drift(x) + spec.gain(x) * spec.noise.labels.take(row))
     return x, frozen
 
 
-def block_seed_sequences(seed: int, trials: int, block_size: int = DEFAULT_BLOCK):
-    """Per-block generator substreams; results do not depend on which worker
-    runs which block, only on the block partition itself."""
-    n_blocks = (trials + block_size - 1) // block_size
-    return np.random.SeedSequence(seed).spawn(n_blocks)
-
-
-def simulate_game(
-    spec: GameSpec,
-    x0: float,
-    rounds: int,
-    trials: int,
-    seed: int,
-    block_size: int = DEFAULT_BLOCK,
-) -> GameRun:
+def simulate_game(spec: GameSpec, x0: float, rounds: int, trials: int, seed: int) -> GameRun:
     """Seeded Monte Carlo: per trial, per round, draw a reading and update.
 
     Lost readings freeze the trial for that round.  Trials are partitioned
-    into fixed blocks with one generator substream each, so any execution
-    order of the blocks reproduces the same run.
+    into fixed blocks of 4096 with one generator substream each, so any
+    execution order of the blocks reproduces the same run.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -184,14 +147,13 @@ def simulate_game(
         raise ValueError("rounds must be non-negative")
     finals = np.empty(trials)
     frozen = np.empty(trials, dtype=np.int64)
-    start = 0
-    for stream in block_seed_sequences(seed, trials, block_size):
-        count = min(block_size, trials - start)
+    streams = np.random.SeedSequence(seed).spawn(-(-trials // _BLOCK))
+    for start, stream in zip(range(0, trials, _BLOCK), streams):
+        count = min(_BLOCK, trials - start)
         rng = np.random.default_rng(stream)
         finals[start : start + count], frozen[start : start + count] = _simulate_block(
             spec, x0, rounds, rng, count
         )
-        start += count
     return GameRun(finals=finals, frozen_counts=frozen, trials=trials, rounds=rounds, seed=seed)
 
 
@@ -372,13 +334,15 @@ def endpoint_constraints(
 class JointDensity:
     """Exhaustive table of state-sequence probabilities from a point start.
 
-    Covers successful reads only, so the table total is (sum of observed
-    probabilities)^steps; frozen rounds are excluded by construction.
+    Row s of the ``(S, steps)`` array ``sequences`` holds the nodes visited
+    after rounds 1..steps, rows in lexicographic order, and ``probs[s]`` its
+    probability.  Covers successful reads only, so the table total is (sum of
+    observed probabilities)^steps; frozen rounds are excluded by construction.
     """
 
     start_index: int
     steps: int
-    sequences: tuple[tuple[int, ...], ...]
+    sequences: np.ndarray
     probs: np.ndarray
     grid: StateGrid
 
@@ -389,14 +353,20 @@ class JointDensity:
         """Distribution of the state after ``step`` rounds (1-based)."""
         if not 1 <= step <= self.steps:
             raise ValueError("step out of range")
-        nodes = np.array(self.sequences, dtype=np.intp).reshape(-1, self.steps)[:, step - 1]
+        nodes = self.sequences[:, step - 1]
         return np.bincount(nodes, weights=self.probs, minlength=self.grid.size)
 
 
 def joint_path_density(
     spec: GameSpec, grid: StateGrid, x0: float, steps: int, boundary: str = "error"
 ) -> JointDensity:
-    """Brute-force product of per-step read laws over all state sequences."""
+    """Product of per-step read laws over all state sequences, breadth first.
+
+    Each step extends every sequence by every label, merges the labels that
+    land on one node with one ``np.unique`` over (sequence, node) keys, whose
+    sorted order keeps the rows lexicographic, and drops moves of probability
+    zero.  The node table is then filled by walking the parent links back.
+    """
     if steps < 1:
         raise ValueError("need at least one step")
     # labels that land on one node merge, so sequences never outnumber label paths
@@ -404,21 +374,25 @@ def joint_path_density(
         raise SizeGuardExceeded("state-sequence table exceeds the size guard")
     kernel = effective_kernel(spec, grid, boundary)
     start = grid.snap_index(x0)
-    table: dict[tuple[int, ...], float] = {}
-
-    def descend(node: int, depth: int, prefix: tuple[int, ...], prob: float) -> None:
-        if depth == steps:
-            table[prefix] = prob
-            return
-        # labels landing on the same node merge into one move
-        targets, which = np.unique(kernel.table[:, node], return_inverse=True)
-        for nxt, p in zip(targets.tolist(), np.bincount(which, weights=kernel.probs).tolist()):
-            if p:
-                descend(nxt, depth + 1, prefix + (nxt,), prob * p)
-
-    descend(start, 0, (), 1.0)
-    sequences = tuple(sorted(table))
-    probs = np.array([table[s] for s in sequences])
+    k = grid.size
+    nodes = np.array([start])
+    probs = np.ones(1)
+    levels = []  # (parent row, node) of every row, per step
+    for _ in range(steps):
+        # candidate moves sequence-major, label-minor: merged sums run in label order
+        keys = (np.arange(nodes.size)[:, None] * k + kernel.table[:, nodes].T).ravel()
+        keys, which = np.unique(keys, return_inverse=True)
+        move = np.bincount(which, weights=np.tile(kernel.probs, nodes.size))
+        live = move != 0
+        parent, nodes = np.divmod(keys[live], k)
+        probs = probs[parent] * move[live]
+        levels.append((parent, nodes))
+    sequences = np.empty((nodes.size, steps), dtype=np.intp)
+    row = np.arange(nodes.size)
+    for step in reversed(range(steps)):
+        parent, level_nodes = levels[step]
+        sequences[:, step] = level_nodes[row]
+        row = parent[row]
     return JointDensity(
         start_index=start, steps=steps, sequences=sequences, probs=probs, grid=grid
     )

@@ -6,7 +6,9 @@ terms carrying cross-outcome coupling factors.  With symmetric couplings the
 raw M^(2N) terms collapse, by merging twin terms, to ((M^2+M)/2)^N canonical
 terms, and the whole sum can be rewritten as the squared modulus of a single
 complex sum over the M^N classical paths, each weighted by the square root of
-its probability and a solved phase.
+its probability and a solved phase.  Both enumerations are index arrays: an
+:class:`Expansion` holds one row of per-round labels per canonical term, and
+:func:`all_paths` one row per classical path.
 
 The phase constraints are grouped by shared radix (the square-root factor
 pattern two paths have in common): within one radix group the mean of
@@ -22,7 +24,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Iterator
 
 import numpy as np
 from scipy.optimize import minimize
@@ -33,7 +34,7 @@ from .grid import check_dense_budget
 
 __all__ = [
     "CensusReport",
-    "ExpandedTerm",
+    "Expansion",
     "ConstraintSet",
     "PhaseAssignment",
     "SolveReport",
@@ -108,36 +109,35 @@ def census(m: int, n: int) -> CensusReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExpandedTerm:
-    """One canonical term of the expanded path sum.
+@dataclass(frozen=True, eq=False)
+class Expansion:
+    """All canonical terms of the N-round expansion, one row per term.
 
-    ``value`` is the bare product of probability and coupling factors for the
-    canonical representative (smaller index first at each crossing), whose
-    0-based label indices, one per round, are ``base``; ``multiplicity``
-    counts the merged twin instances, 2 per crossing round.  The term
-    contributes ``multiplicity * value`` to the path sum.
+    In round r, term t takes label ``base[t, r]`` alone (``partner[t, r]`` is
+    -1) or its crossing with the larger label ``partner[t, r]``.  ``value``
+    is the bare product of probability and coupling factors of that canonical
+    representative; ``multiplicity`` counts its merged twins, 2 per crossing
+    round, so the term contributes ``multiplicity * value`` to the path sum.
+    Rows run lexicographically over the per-round options: the M single
+    labels, then the crossings a < b in row-major order.
     """
 
-    base: tuple[int, ...]
-    crossings: frozenset[tuple[int, int]]
-    value: float
-    multiplicity: int
+    base: np.ndarray
+    partner: np.ndarray
+    value: np.ndarray
+    multiplicity: np.ndarray
 
 
 def _round_options(
     bare: BareDistribution, coupling: CouplingMatrix
-) -> list[tuple[int, int | None, float]]:
-    """Per-round expansion choices: (base index, partner or None, factor)."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-round expansion choices as arrays: base label, partner (-1: none), factor."""
     m = bare.m
-    opts: list[tuple[int, int | None, float]] = [
-        (j, None, float(bare.probs[j])) for j in range(m)
-    ]
+    a, b = np.triu_indices(m, 1)
     s = np.sqrt(bare.probs)
-    for a in range(m):
-        for b in range(a + 1, m):
-            opts.append((a, b, float(s[a] * s[b] * coupling.d[a, b])))
-    return opts
+    base = np.concatenate((np.arange(m), a))
+    partner = np.concatenate((np.full(m, -1), b))
+    return base, partner, np.concatenate((bare.probs, s[a] * s[b] * coupling.d[a, b]))
 
 
 def _check_expansion(
@@ -154,33 +154,23 @@ def _check_expansion(
         )
 
 
-def _iter_terms(
-    bare: BareDistribution, coupling: CouplingMatrix, n: int
-) -> Iterator[ExpandedTerm]:
-    opts = _round_options(bare, coupling)
-    for combo in itertools.product(opts, repeat=n):
-        value = 1.0
-        base: list[int] = []
-        crossings: list[tuple[int, int]] = []
-        for rnd, (a, b, factor) in enumerate(combo):
-            value *= factor
-            base.append(a)
-            if b is not None:
-                crossings.append((rnd, b))
-        yield ExpandedTerm(
-            base=tuple(base),
-            crossings=frozenset(crossings),
-            value=value,
-            multiplicity=1 << len(crossings),
-        )
-
-
-def expand_paths(
-    bare: BareDistribution, coupling: CouplingMatrix, n: int
-) -> list[ExpandedTerm]:
+def expand_paths(bare: BareDistribution, coupling: CouplingMatrix, n: int) -> Expansion:
     """All canonical terms of the N-round expansion, twins merged."""
     _check_expansion(bare, coupling, n, bare.m**2)
-    return list(_iter_terms(bare, coupling, n))
+    opt_base, opt_partner, factor = _round_options(bare, coupling)
+    k = factor.size
+    rows = np.arange(k**n)
+    base = np.empty((rows.size, n), dtype=np.int64)
+    partner = np.empty((rows.size, n), dtype=np.int64)
+    value = np.ones(rows.size)
+    for r in range(n):
+        # option index of round r: digit r of the row number in base k
+        option = rows // k ** (n - 1 - r) % k
+        base[:, r] = opt_base[option]
+        partner[:, r] = opt_partner[option]
+        value *= factor[option]  # the round-by-round product, left to right
+    multiplicity = 1 << (partner >= 0).sum(axis=1)
+    return Expansion(base=base, partner=partner, value=value, multiplicity=multiplicity)
 
 
 def xi_sum(bare: BareDistribution, coupling: CouplingMatrix, n: int) -> float:
@@ -191,12 +181,12 @@ def xi_sum(bare: BareDistribution, coupling: CouplingMatrix, n: int) -> float:
     """
     # the terms array holds one entry per merged option: M(M+1)/2 a round
     _check_expansion(bare, coupling, n, bare.m * (bare.m + 1) // 2)
-    opts = _round_options(bare, coupling)
-    weights = np.array([f if b is None else 2.0 * f for _, b, f in opts])
+    _, partner, factor = _round_options(bare, coupling)
+    weights = np.where(partner < 0, factor, 2.0 * factor)
     terms = weights
     for _ in range(n - 1):
         terms = np.multiply.outer(terms, weights)
-    # accumulate in enumeration order, as the term-by-term sum does, bit for bit
+    # accumulate in expansion row order, as the term-by-term sum does, bit for bit
     return float(np.cumsum(terms.ravel())[-1])
 
 
@@ -365,9 +355,8 @@ class SolveReport:
     """Outcome of a phase solve.
 
     ``max_residual`` and ``group_residuals`` refer to the radix-grouped
-    system actually optimized; ``pair_residuals`` report every raw pair
-    against its own target for inspection.  Infeasible targets (|t| > 1) are
-    reported without solving.  ``lower_bound`` is a certified floor under
+    system actually optimized.  Infeasible targets (|t| > 1) are reported
+    without solving.  ``lower_bound`` is a certified floor under
     the largest group residual of any phase assignment (0.0: no certificate).
     """
 
@@ -375,7 +364,6 @@ class SolveReport:
     converged: bool
     max_residual: float
     group_residuals: np.ndarray
-    pair_residuals: np.ndarray
     group_sizes: np.ndarray
     starts_tried: int
     best_start: int
@@ -409,8 +397,6 @@ def _solved(
         converged=bool(max_res <= tol),
         max_residual=max_res,
         group_residuals=g_res,
-        pair_residuals=np.cos(phi[constraints.pair_i] - phi[constraints.pair_j])
-        - constraints.targets,
         group_sizes=constraints.group_sizes.copy(),
         starts_tried=starts_tried,
         best_start=best_start,
@@ -461,7 +447,6 @@ def solve_phases(
             converged=False,
             max_residual=float("inf"),
             group_residuals=np.full(n_groups, np.nan),
-            pair_residuals=np.full(len(constraints), np.nan),
             group_sizes=constraints.group_sizes.copy(),
             starts_tried=0,
             best_start=-1,
@@ -637,8 +622,9 @@ def identity_check(
         amp_sq = amp1**n
         gap = abs(xi - amp_sq)
         s = np.sqrt(bare.probs)
-        rho = np.multiply.outer(s, s)[np.triu_indices(bare.m, 1)]  # the one-round pair order
-        spread = 2.0 * float(np.sum(rho * np.abs(solve_report.pair_residuals)))
+        # one round: every pair is its own group, in np.triu_indices order
+        rho = np.multiply.outer(s, s)[np.triu_indices(bare.m, 1)]
+        spread = 2.0 * float(np.sum(rho * np.abs(solve_report.group_residuals)))
         slack = 1e-13 * (1.0 + abs(xi) + amp_sq)
         bound = n * max(abs(xi1), amp1) ** (n - 1) * spread + slack
     return IdentityReport(

@@ -13,7 +13,6 @@ from qal.core import (
     QRuleParams,
     effective_distribution,
     effective_from_coupling,
-    sample_reading,
     sample_readings,
     symmetric_coupling,
     symmetrizing_misreads,
@@ -269,12 +268,6 @@ class TestSampling:
         keep = expected > 0
         res = stats.chisquare(counts[keep], expected[keep])
         assert res.pvalue > 0.01
-
-    def test_scalar_reading(self):
-        P = bare([0.5, 0.5])
-        rng = np.random.default_rng(0)
-        r = sample_reading(P, QRuleParams.lossless(2), rng)
-        assert r in (0, 1)
 
     def test_reproducible(self):
         P = bare([0.5, 0.3, 0.2])

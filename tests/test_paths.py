@@ -63,6 +63,26 @@ def raw_expansion_sum(P, d, n):
     return total
 
 
+def enumerated_expansion(P, d, n):
+    """Oracle: one term per itertools.product of the per-round option tuples."""
+    m = P.m
+    s = np.sqrt(P.probs)
+    opts = [(j, -1, float(P.probs[j])) for j in range(m)]
+    for a in range(m):
+        for b in range(a + 1, m):
+            opts.append((a, b, float(s[a] * s[b] * d.d[a, b])))
+    base, partner, value, multiplicity = [], [], [], []
+    for combo in itertools.product(opts, repeat=n):
+        v = 1.0
+        for _, _, factor in combo:
+            v *= factor
+        base.append([a for a, _, _ in combo])
+        partner.append([b for _, b, _ in combo])
+        value.append(v)
+        multiplicity.append(1 << sum(b >= 0 for _, b, _ in combo))
+    return np.array(base), np.array(partner), np.array(value), np.array(multiplicity)
+
+
 def add_at_jacobian(cs, phi):
     """Oracle: the group-residual Jacobian built with two np.add.at passes."""
     s = np.sin(phi[cs.pair_i] - phi[cs.pair_j]) / cs.group_sizes.astype(float)[
@@ -124,21 +144,21 @@ class TestExpandPaths:
     def test_classical_limit(self):
         P = bare([0.5, 0.3, 0.2])
         d = CouplingMatrix(np.zeros((3, 3)))
-        terms = [t for t in expand_paths(P, d, 2) if t.value != 0.0]
-        assert len(terms) == 9
-        for t in terms:
-            assert not t.crossings
-            assert t.multiplicity == 1
-            assert t.value == pytest.approx(
-                np.prod(P.probs[list(t.base)]), abs=1e-15
-            )
+        terms = expand_paths(P, d, 2)
+        keep = terms.value != 0.0
+        assert np.count_nonzero(keep) == 9
+        assert np.all(terms.partner[keep] == -1)
+        assert np.all(terms.multiplicity[keep] == 1)
+        assert terms.value[keep] == pytest.approx(
+            np.prod(P.probs[terms.base[keep]], axis=1), abs=1e-15
+        )
 
     def test_hand_expansion_m2_n1(self):
         P = bare([0.5, 0.5])
         d = symmetric_coupling(P, [0.2, 0.2])
         terms = expand_paths(P, d, 1)
-        assert len(terms) == 3
-        contributions = sorted(t.multiplicity * t.value for t in terms)
+        assert terms.value.size == 3
+        contributions = sorted(terms.multiplicity * terms.value)
         assert contributions == pytest.approx([-0.2, 0.5, 0.5], abs=1e-12)
         assert sum(contributions) == pytest.approx(0.8, abs=1e-12)
 
@@ -146,7 +166,21 @@ class TestExpandPaths:
         P = bare([0.5, 0.3, 0.2])
         d = symmetric_coupling(P, [0.1, 0.2, 0.3])
         for n in (1, 2, 3):
-            assert len(expand_paths(P, d, n)) == census(3, n).reduced_total
+            assert expand_paths(P, d, n).value.size == census(3, n).reduced_total
+
+    @given(st.integers(2, 4), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_bitwise_equal_to_enumeration(self, m, n, seed):
+        rng = np.random.default_rng(seed)
+        P = bare(rng.dirichlet(np.full(m, 2.0)))
+        d = symmetric_coupling(P, rng.uniform(0.0, 0.5, m))
+        terms = expand_paths(P, d, n)
+        expected = enumerated_expansion(P, d, n)
+        for got, want in zip(
+            (terms.base, terms.partner, terms.value, terms.multiplicity), expected
+        ):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
@@ -211,8 +245,10 @@ class TestXiSum:
     def test_matches_term_by_term_sum(self, seed):
         rng = np.random.default_rng(seed)
         P, _, d, n = random_symmetric_instance(rng, m_max=3, n_max=4)
-        terms = sum(t.multiplicity * t.value for t in expand_paths(P, d, n))
-        assert xi_sum(P, d, n) == pytest.approx(terms, rel=1e-12)
+        terms = expand_paths(P, d, n)
+        # doubling is exact, so these are xi_sum's products in xi_sum's order
+        running = np.cumsum(terms.multiplicity * terms.value)
+        assert xi_sum(P, d, n) == running[-1]
 
 
 class TestConstraints:
