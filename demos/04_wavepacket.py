@@ -45,7 +45,9 @@ for block in range(6):
 
 print("\n== reference solver agreement ==")
 ref = reference_solver(WaveState.gaussian(grid, sigma=1.0), params, 1.0)
-print(f"  reference width at t=1: {ref.sigma_x():.9f} (norm drift {abs(ref.norm()-1):.1e})")
+# the drift itself is round-off and varies with the BLAS thread count; its bound does not
+drift = "below" if abs(ref.norm() - 1.0) < 1e-13 else "ABOVE"
+print(f"  reference width at t=1: {ref.sigma_x():.9f} (norm drift {drift} 1e-13)")
 
 print("\n== convergence order in the step size ==")
 factory = lambda g: WaveState.gaussian(g, center=1.0, sigma=np.sqrt(0.5))

@@ -30,7 +30,7 @@ from scipy.optimize import minimize
 
 from .core import BareDistribution, CouplingMatrix, symmetric_coupling
 from .errors import DimensionMismatch, SizeGuardExceeded
-from .grid import check_dense_budget
+from .grid import CHUNK_VALUES, check_dense_budget
 
 __all__ = [
     "CensusReport",
@@ -55,7 +55,6 @@ __all__ = [
 
 EXPANSION_GUARD = 10**7
 CONSTRAINT_GUARD = 4096
-PAIR_CHUNK = 1 << 15  # path pairs gathered at once when building constraints
 
 
 # ---------------------------------------------------------------------------
@@ -210,47 +209,25 @@ def path_radices(bare: BareDistribution, paths: np.ndarray) -> np.ndarray:
     return np.sqrt(np.prod(bare.probs[paths], axis=1))
 
 
+@dataclass(frozen=True, eq=False)
 class ConstraintSet:
-    """Pair constraints between classical paths, with radix grouping, as arrays.
+    """Pair constraints between classical paths, grouped by radix, as arrays.
 
     Constraint n ties the label rows ``paths[pair_i[n]]`` and
-    ``paths[pair_j[n]]``: cos(phi_i - phi_j) should equal ``targets[n]``, the
-    product of couplings over the rounds where the rows differ.
-    ``group_inverse`` maps each pair to its radix group (pairs sharing the
-    per-round unordered label pattern), the granularity at which the phase
-    system is actually solved; within a group the mean cosine must match the
-    shared target.  ``len`` counts the pairs.
+    ``paths[pair_j[n]]``.  ``group_inverse`` maps each pair to its radix group
+    (pairs sharing the per-round unordered label pattern), the granularity at
+    which the phase system is solved: the mean of cos(phi_i - phi_j) over the
+    ``group_sizes[g]`` pairs of group g must match ``group_targets[g]``, the
+    product of couplings over the rounds where the rows differ.  ``len``
+    counts the pairs.
     """
 
-    def __init__(
-        self,
-        paths: np.ndarray,
-        pair_i: np.ndarray,
-        pair_j: np.ndarray,
-        targets: np.ndarray,
-        m: int,
-    ) -> None:
-        self.paths = np.asarray(paths, dtype=np.int64)
-        self.pair_i = np.asarray(pair_i, dtype=np.int64)
-        self.pair_j = np.asarray(pair_j, dtype=np.int64)
-        self.targets = np.asarray(targets, dtype=float)
-        self.m = int(m)
-        if not (self.pair_i.size == self.pair_j.size == self.targets.size):
-            raise DimensionMismatch("pair arrays must have equal length")
-        weights = (self.m * self.m) ** np.arange(self.paths.shape[1], dtype=np.int64)
-        codes = np.empty(self.pair_i.size, dtype=np.int64)
-        for lo in range(0, codes.size, PAIR_CHUNK):
-            chunk = slice(lo, lo + PAIR_CHUNK)
-            a = self.paths[self.pair_i[chunk]]
-            b = self.paths[self.pair_j[chunk]]
-            pattern = np.minimum(a, b) * self.m + np.maximum(a, b)
-            codes[chunk] = (pattern * weights).sum(axis=1)
-        _, first, inverse, counts = np.unique(
-            codes, return_index=True, return_inverse=True, return_counts=True
-        )
-        self.group_inverse = inverse
-        self.group_sizes = counts
-        self.group_targets = self.targets[first]
+    paths: np.ndarray
+    pair_i: np.ndarray
+    pair_j: np.ndarray
+    group_inverse: np.ndarray
+    group_sizes: np.ndarray
+    group_targets: np.ndarray
 
     @property
     def n_paths(self) -> int:
@@ -260,24 +237,17 @@ class ConstraintSet:
     def n_groups(self) -> int:
         return int(self.group_sizes.size)
 
+    @property
+    def targets(self) -> np.ndarray:
+        """Per-pair targets: each pair's group target."""
+        return self.group_targets[self.group_inverse]
+
     def __len__(self) -> int:
         return int(self.pair_i.size)
 
     def infeasible_pairs(self) -> np.ndarray:
         """Indices of constraints whose target falls outside [-1, 1]."""
         return np.nonzero(np.abs(self.targets) > 1.0 + 1e-12)[0]
-
-
-def _pair_targets(
-    paths: np.ndarray, coupling: CouplingMatrix, pair_i: np.ndarray, pair_j: np.ndarray
-) -> np.ndarray:
-    targets = np.empty(pair_i.size, dtype=float)
-    for lo in range(0, pair_i.size, PAIR_CHUNK):
-        chunk = slice(lo, lo + PAIR_CHUNK)
-        a = paths[pair_i[chunk]]
-        b = paths[pair_j[chunk]]
-        targets[chunk] = np.where(a == b, 1.0, coupling.d[a, b]).prod(axis=1)
-    return targets
 
 
 def constraints_for_pairs(
@@ -290,15 +260,32 @@ def constraints_for_pairs(
     """Constraint set over an explicit list of path pairs.
 
     Used directly by the game module, where only paths sharing an endpoint
-    are constrained against each other.
+    are constrained against each other.  One pass over the pairs, in chunks
+    of ``CHUNK_VALUES`` labels, codes each pair's per-round unordered label
+    pattern; every group's target is its first pair's coupling product.
     """
     if coupling.m != bare.m:
         raise DimensionMismatch("coupling size does not match the distribution")
     paths = np.asarray(paths, dtype=np.int64)
     pair_i = np.asarray(pair_i, dtype=np.int64)
     pair_j = np.asarray(pair_j, dtype=np.int64)
-    targets = _pair_targets(paths, coupling, pair_i, pair_j)
-    return ConstraintSet(paths, pair_i, pair_j, targets, bare.m)
+    if pair_i.size != pair_j.size:
+        raise DimensionMismatch("pair arrays must have equal length")
+    m, n = bare.m, paths.shape[1]
+    weights = (m * m) ** np.arange(n, dtype=np.int64)
+    rows = CHUNK_VALUES // n
+    codes = np.empty(pair_i.size, dtype=np.int64)
+    for lo in range(0, codes.size, rows):
+        a = paths[pair_i[lo : lo + rows]]
+        b = paths[pair_j[lo : lo + rows]]
+        pattern = np.minimum(a, b) * m + np.maximum(a, b)  # round r: digit r, base M^2
+        codes[lo : lo + rows] = (pattern * weights).sum(axis=1)
+    _, first, inverse, sizes = np.unique(
+        codes, return_index=True, return_inverse=True, return_counts=True
+    )
+    a, b = paths[pair_i[first]], paths[pair_j[first]]
+    targets = np.where(a == b, 1.0, coupling.d[a, b]).prod(axis=1)
+    return ConstraintSet(paths, pair_i, pair_j, inverse, sizes, targets)
 
 
 def build_constraints(
@@ -364,7 +351,6 @@ class SolveReport:
     converged: bool
     max_residual: float
     group_residuals: np.ndarray
-    group_sizes: np.ndarray
     starts_tried: int
     best_start: int
     infeasible_indices: np.ndarray
@@ -397,7 +383,6 @@ def _solved(
         converged=bool(max_res <= tol),
         max_residual=max_res,
         group_residuals=g_res,
-        group_sizes=constraints.group_sizes.copy(),
         starts_tried=starts_tried,
         best_start=best_start,
         infeasible_indices=np.zeros(0, dtype=np.int64),
@@ -447,7 +432,6 @@ def solve_phases(
             converged=False,
             max_residual=float("inf"),
             group_residuals=np.full(n_groups, np.nan),
-            group_sizes=constraints.group_sizes.copy(),
             starts_tried=0,
             best_start=-1,
             infeasible_indices=bad,

@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qal.markov
-from memory_guards import traced_peak
+from memory_guards import capped_address_space, traced_peak
 from qal.core import LOST, BareDistribution, QRuleParams, effective_distribution, sample_readings
 from qal.errors import DimensionMismatch, OffGridImage, SizeGuardExceeded
-from qal.grid import StateGrid
+from qal.grid import KERNEL_BYTE_BUDGET, StateGrid
 from qal.markov import (
     _BLOCK,
     GameSpec,
@@ -550,12 +550,36 @@ class TestJointPathDensity:
             raise AssertionError("the walk started past the guard")
 
         monkeypatch.setattr(qal.markov, "effective_kernel", forbidden)
-        steps = int(np.log2(qal.markov.JOINT_GUARD)) + 1  # 2^steps just past the guard
         with pytest.raises(SizeGuardExceeded):
-            joint_path_density(walk(), integer_grid(3), 0.0, steps, boundary="wrap")
+            joint_path_density(walk(), integer_grid(3), 0.0, 23, boundary="wrap")
+
+    @pytest.mark.parametrize("steps", [22, 23])
+    def test_byte_guard_edge(self, steps):
+        # 16 B x 2^22 x 22 = 1.48 GB is admitted and 16 B x 2^23 x 23 = 3.09 GB
+        # is not; a zero gain lands both labels on one node, so the admitted
+        # walk holds a single row and the guard is all that is tested
+        still = GameSpec(
+            drift=make_map("identity"),
+            gain=make_map("constant", value=0.0),
+            noise=walk().noise,
+            rules=walk().rules,
+        )
+        need = 16 * 2**steps * steps
+
+        def build():
+            with capped_address_space():
+                if need <= KERNEL_BYTE_BUDGET:
+                    density = joint_path_density(still, integer_grid(3), 0.0, steps)
+                    assert density.sequences.shape == (1, steps)
+                else:
+                    with pytest.raises(SizeGuardExceeded, match=str(need)):
+                        joint_path_density(still, integer_grid(3), 0.0, steps)
+
+        assert traced_peak(build) < 1 << 20
 
     def test_build_memory_is_the_table(self):
-        # 2^16 sequences of 16 nodes: an 8 MB table, and at most as much again to build it
+        # 2^16 sequences of 16 nodes: an 8 MB table, and at most as much again to
+        # build it, within the 16 B a cell that the byte guard charges
         grid = integer_grid(20)
 
         def build():

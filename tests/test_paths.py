@@ -94,6 +94,21 @@ def add_at_jacobian(cs, phi):
     return j_full
 
 
+def two_pass_constraints(P, d, paths, pair_i, pair_j):
+    """Oracle: every pair's coupling product, then its radix group in a second pass.
+
+    Rows of the per-round (min, max) label pattern, last round first, sort as
+    base-M^2 codes do; each group takes its first pair's target.
+    """
+    a, b = paths[pair_i], paths[pair_j]
+    targets = np.where(a == b, 1.0, d.d[a, b]).prod(axis=1)
+    pattern = np.minimum(a, b) * P.m + np.maximum(a, b)
+    _, first, inverse, sizes = np.unique(
+        pattern[:, ::-1], axis=0, return_index=True, return_inverse=True, return_counts=True
+    )
+    return inverse.reshape(-1), sizes, targets[first], targets
+
+
 def group_residuals(cs, phi):
     c = np.cos(phi[cs.pair_i] - phi[cs.pair_j])
     sums = np.bincount(cs.group_inverse, weights=c, minlength=cs.n_groups)
@@ -288,15 +303,33 @@ class TestConstraints:
         assert np.all(np.abs(cs.targets) <= 1.0 + 1e-12)
         assert cs.infeasible_pairs().size == 0
 
-    def test_chunked_build_matches_one_chunk(self, monkeypatch):
-        P = bare([0.2, 0.3, 0.5])
-        d = symmetric_coupling(P, [0.1, 0.2, 0.1])
-        whole = build_constraints(P, d, 3)
-        monkeypatch.setattr(qal.paths, "PAIR_CHUNK", 7)
-        chunked = build_constraints(P, d, 3)
-        assert len(whole) == 351  # 50 full chunks of 7 and a partial one
-        for name in ("targets", "group_inverse", "group_sizes", "group_targets"):
-            assert np.array_equal(getattr(chunked, name), getattr(whole, name))
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["full", "endpoint"]))
+    @settings(max_examples=40, deadline=None)
+    def test_one_pass_matches_two_pass_oracle(self, seed, kind):
+        rng = np.random.default_rng(seed)
+        if kind == "full":
+            P, _, d, n = random_symmetric_instance(rng, m_max=4, n_max=3)
+            cs = build_constraints(P, d, n)
+        else:
+            spec, grid, n = random_walk_game(rng)
+            cs = endpoint_constraints(spec, grid, 0.0, n, boundary="wrap")
+            P, d = spec.noise, symmetric_coupling(spec.noise, spec.rules.loss_rates)
+        inverse, sizes, group_targets, targets = two_pass_constraints(
+            P, d, cs.paths, cs.pair_i, cs.pair_j
+        )
+        # 1 to 7 pairs a chunk, the last one partial whenever the count allows
+        small = n * int(rng.integers(1, 8)) + int(rng.integers(0, n))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(qal.paths, "CHUNK_VALUES", small)
+            chunked = constraints_for_pairs(P, d, cs.paths, cs.pair_i, cs.pair_j)
+        for got in (cs, chunked):
+            assert np.array_equal(got.group_inverse, inverse)
+            assert np.array_equal(got.group_sizes, sizes)
+            assert np.array_equal(got.group_targets.view(np.int64), group_targets.view(np.int64))
+            assert np.array_equal(got.targets.view(np.int64), targets.view(np.int64))
+            assert np.array_equal(
+                got.infeasible_pairs(), np.flatnonzero(np.abs(targets) > 1.0 + 1e-12)
+            )
 
     def test_size_guard(self):
         P = bare(np.full(9, 1.0 / 9.0))
@@ -469,7 +502,11 @@ class TestStartScoring:
         monkeypatch.setattr(qal.paths, "minimize", counting)
         m = 3 if len(targets) == 3 else 2
         pair_i, pair_j = np.triu_indices(m, k=1)
-        cs = qal.paths.ConstraintSet(all_paths(m, 1), pair_i, pair_j, targets, m)
+        # one round: every pair is its own group
+        ones = np.ones(pair_i.size, dtype=np.int64)
+        cs = qal.paths.ConstraintSet(
+            all_paths(m, 1), pair_i, pair_j, np.arange(pair_i.size), ones, np.array(targets)
+        )
         _, report = solve_phases(cs, seed=3, restarts=2)
         assert report.converged == (best_start is not None)
         assert report.starts_tried == starts_tried
@@ -592,8 +629,8 @@ class TestSingleRound:
                 assert floor <= report.max_residual <= most
 
 
-def random_walk_system(rng):
-    """Endpoint system of a lossy +-1 walk (N <= 5) or -1/0/+1 walk (N <= 3)."""
+def random_walk_game(rng):
+    """A lossy +-1 walk (N <= 5) or -1/0/+1 walk (N <= 3) on 13 wrapped nodes, and N."""
     m = int(rng.integers(2, 4))
     n = int(rng.integers(1, 6 if m == 2 else 4))
     labels = [-1.0, 1.0] if m == 2 else [-1.0, 0.0, 1.0]
@@ -605,7 +642,12 @@ def random_walk_system(rng):
         noise=noise,
         rules=QRuleParams.pure_loss(rng.uniform(0.0, 0.4, m)),
     )
-    grid = StateGrid.from_range(-6.0, 6.0, 13)
+    return spec, StateGrid.from_range(-6.0, 6.0, 13), n
+
+
+def random_walk_system(rng):
+    """Endpoint system of :func:`random_walk_game`."""
+    spec, grid, n = random_walk_game(rng)
     return endpoint_constraints(spec, grid, 0.0, n, boundary="wrap")
 
 
