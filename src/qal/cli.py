@@ -15,6 +15,7 @@ an uncertified identity).
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from collections.abc import Callable
@@ -697,6 +698,7 @@ def emit_plot_script(csv_path: str, kind: str, out_path: str | None = None) -> s
 # ---------------------------------------------------------------------------
 
 
+@functools.cache  # parsing does not change the parser; build the tree once
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qal",

@@ -80,11 +80,6 @@ class BareDistribution:
     def m(self) -> int:
         return int(self.probs.size)
 
-    @classmethod
-    def uniform(cls, labels) -> "BareDistribution":
-        labels = _vector(labels, "labels")
-        return cls(labels, np.full(labels.size, 1.0 / labels.size))
-
 
 @dataclass(frozen=True, eq=False)
 class QRuleParams:

@@ -18,7 +18,7 @@ class ChannelInfeasible(QalError, ValueError):
 
 
 class SizeGuardExceeded(QalError, ValueError):
-    """An exhaustive enumeration would exceed its configured size guard."""
+    """A build would exceed the byte budget, or the exact path sum its work bound."""
 
 
 class OffGridImage(QalError, ValueError):

@@ -25,7 +25,7 @@ from .core import (
 )
 from .errors import DimensionMismatch, SizeGuardExceeded
 from .grid import CHUNK_VALUES, StateGrid, check_dense_budget
-from .paths import ConstraintSet, PhaseAssignment, all_paths, constraints_for_pairs
+from .paths import PAIR_BYTES, ConstraintSet, PhaseAssignment, all_paths, constraints_for_pairs
 
 __all__ = [
     "GameSpec",
@@ -249,10 +249,10 @@ def amplitude_propagate(
 ) -> np.ndarray:
     """Coherent propagation: every label path carries sqrt(P) weights and a phase.
 
-    ``phases=None`` or an array of per-step, per-label phase increments uses
+    ``phases=None`` or an array of M label phases, added at every step, uses
     the one-step complex transfer matrix (phases linear in the labels).  A
-    :class:`~qal.paths.PhaseAssignment` triggers the exact path sum, guarded
-    by the path-count limit; it must hold every label path exactly once, or
+    :class:`~qal.paths.PhaseAssignment` triggers the exact path sum, bounded
+    by ``PATH_SUM_GUARD`` K x P walks; it must hold every label path once, or
     :class:`~qal.errors.DimensionMismatch` is raised.
     """
     psi = np.asarray(psi0, dtype=complex)
@@ -267,8 +267,8 @@ def amplitude_propagate(
     if isinstance(phases, PhaseAssignment):
         phases.check_covers(m, steps)
         paths_arr = phases.paths
-        if k * paths_arr.shape[0] > PATH_SUM_GUARD:
-            raise SizeGuardExceeded("exact path sum exceeds the size guard")
+        if k * len(phases) > PATH_SUM_GUARD:
+            raise SizeGuardExceeded(f"path sum: {k}×{len(phases)} walks > {PATH_SUM_GUARD}")
         radices = np.prod(sqrtp[paths_arr], axis=1)
         amps = radices * np.exp(1j * phases.phases)
         out = np.zeros(k, dtype=complex)
@@ -282,16 +282,11 @@ def amplitude_propagate(
             np.add.at(out, cur, amp * weights)
         return out
 
-    if phases is None:
-        theta = np.zeros((steps, m))
-    else:
-        theta = np.asarray(phases, dtype=float)
-        if theta.ndim == 1:
-            theta = np.broadcast_to(theta, (steps, m)).copy()
-        if theta.shape != (steps, m):
-            raise DimensionMismatch(f"per-step phases must have shape ({steps}, {m})")
-    for n in range(steps):
-        weights = sqrtp * np.exp(1j * theta[n])
+    theta = np.zeros(m) if phases is None else np.asarray(phases, dtype=float)
+    if theta.shape != (m,):
+        raise DimensionMismatch(f"label phases must have shape ({m},)")
+    weights = sqrtp * np.exp(1j * theta)
+    for _ in range(steps):
         nxt = np.zeros(k, dtype=complex)
         for j in range(m):
             np.add.at(nxt, (table[j],), weights[j] * psi)
@@ -318,7 +313,9 @@ def endpoint_constraints(
     ends = np.full(paths_arr.shape[0], grid.snap_index(x0))
     for labels in paths_arr.T:
         ends = table[labels, ends]
-    groups = (np.flatnonzero(ends == node) for node in np.unique(ends))
+    nodes, counts = np.unique(ends, return_counts=True)
+    check_dense_budget(int(counts @ (counts - 1)) // 2, 1, PAIR_BYTES, "phase constraints")
+    groups = (np.flatnonzero(ends == node) for node in nodes)
     pairs = [g[np.array(np.triu_indices(g.size, k=1))] for g in groups]
     pair_i, pair_j = np.concatenate(pairs, axis=1)
     return constraints_for_pairs(spec.noise, coupling, paths_arr, pair_i, pair_j)

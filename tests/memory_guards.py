@@ -4,6 +4,8 @@ import contextlib
 import resource
 import tracemalloc
 
+from qal import grid
+
 
 def traced_peak(fn):
     """Peak bytes Python allocations reach while ``fn()`` runs."""
@@ -27,3 +29,13 @@ def capped_address_space(headroom=256 << 20):
         yield
     finally:
         resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+class Charged(Exception):
+    """A builder's first byte charge passed; nothing was built."""
+
+
+def charge_then_stop(*args):
+    """Stand-in for ``check_dense_budget``: charge, and stop the build if admitted."""
+    grid.check_dense_budget(*args)
+    raise Charged

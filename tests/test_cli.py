@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import qal
+import qal.cli
 from qal.cli import COMMANDS, emit_plot_script, parse_config, read_csv, run
 from qal.errors import ConfigError, UnknownSchema
 
@@ -361,6 +362,19 @@ class TestCommands:
 
     def test_no_command_exit_1(self, tmp_path):
         assert run_in(tmp_path, []) == 1
+
+    def test_one_parser_serves_every_call(self, tmp_path, capsys):
+        # the argparse tree is built once a process; reusing it changes no outcome
+        assert qal.cli._build_parser() is qal.cli._build_parser()
+        outcomes = []
+        for _ in range(2):
+            usage = run_in(tmp_path, ["census", "--no-such-flag"])
+            version = run_in(tmp_path, ["--version"])
+            valid = run_in(tmp_path, ["census", "--m", "2", "--n", "3", "--out", "c.csv"])
+            _, header, rows = read_csv(tmp_path / "c.csv")
+            outcomes.append((usage, version, valid, capsys.readouterr().out, header, rows))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][:4] == (1, 0, 0, f"qal {qal.__version__}\n")
 
 
 # a small run of every command in the table

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qal.grid
 import qal.markov
-from memory_guards import capped_address_space, traced_peak
+from memory_guards import Charged, capped_address_space, charge_then_stop, traced_peak
 from qal.core import LOST, BareDistribution, QRuleParams, effective_distribution, sample_readings
 from qal.errors import DimensionMismatch, OffGridImage, SizeGuardExceeded
 from qal.grid import KERNEL_BYTE_BUDGET, StateGrid
@@ -30,6 +31,16 @@ from test_core import random_instance
 
 def walk(gamma=0.2):
     return GameSpec.random_walk(QRuleParams.pure_loss([gamma, gamma]))
+
+
+def still_walk():
+    """A +-1 walk with zero gain: every label path stays on its start node."""
+    return GameSpec(
+        drift=make_map("identity"),
+        gain=make_map("constant", value=0.0),
+        noise=walk().noise,
+        rules=walk().rules,
+    )
 
 
 def integer_grid(extent):
@@ -413,12 +424,15 @@ class TestAmplitudePropagate:
         grid = integer_grid(4)
         psi0 = np.zeros(grid.size, dtype=complex)
         psi0[grid.snap_index(0.0)] = 1.0
-        theta = np.array([[0.0, np.pi / 2]])
+        # one phase per label, added at every step; a (steps, M) table is refused
+        theta = np.array([0.0, np.pi / 2])
         psi1 = amplitude_propagate(spec, grid, psi0, 1, phases=theta, boundary="wrap")
         left = grid.snap_index(-1.0)
         right = grid.snap_index(1.0)
         assert psi1[left] == pytest.approx(np.sqrt(0.5), abs=1e-12)
         assert psi1[right] == pytest.approx(np.sqrt(0.5) * 1j, abs=1e-12)
+        with pytest.raises(DimensionMismatch, match=r"shape \(2,\)"):
+            amplitude_propagate(spec, grid, psi0, 1, phases=theta[None], boundary="wrap")
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
@@ -466,6 +480,15 @@ class TestAmplitudePropagate:
         path_sum = amplitude_propagate(spec, grid, psi0, steps, phases=assignment, boundary="wrap")
         assert np.array_equal(path_sum, full_start_path_sum(spec, grid, psi0, assignment))
 
+    def test_path_sum_refusal_names_its_size(self):
+        # 1001 nodes x 2^14 paths: 16.4 M node-path walks, over the 10^7 bound
+        grid = integer_grid(500)
+        psi0 = np.zeros(grid.size, dtype=complex)
+        psi0[grid.snap_index(0.0)] = 1.0
+        assignment = PhaseAssignment(all_paths(2, 14), np.zeros(2**14))
+        with pytest.raises(SizeGuardExceeded, match="1001×16384 walks > 10000000"):
+            amplitude_propagate(walk(), grid, psi0, 14, phases=assignment, boundary="wrap")
+
     @pytest.mark.parametrize(
         "rows",
         [all_paths(2, 3)[:5], -all_paths(2, 3)],
@@ -503,6 +526,44 @@ class TestEndpointConstraints:
         ]
         constraints = endpoint_constraints(spec, grid, 0.0, steps, boundary="wrap")
         assert list(zip(constraints.pair_i.tolist(), constraints.pair_j.tolist())) == expected
+
+    @staticmethod
+    def forbid_pair_arrays(monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a pair array was built")
+
+        monkeypatch.setattr(np, "triu_indices", forbidden)
+
+    def test_largest_one_endpoint_set_is_admitted(self, monkeypatch):
+        # all 2^12 paths of a still walk share their endpoint: 72 B x 8.4 M pairs
+        # (0.60 GB) is admitted; the first charge that passes ends the call
+        monkeypatch.setattr(qal.markov, "check_dense_budget", charge_then_stop)
+        self.forbid_pair_arrays(monkeypatch)
+        with pytest.raises(Charged):
+            endpoint_constraints(still_walk(), integer_grid(3), 0.0, 12)
+
+    def test_refused_from_endpoint_counts(self, monkeypatch):
+        # 2^13 paths on one endpoint: 72 B x 33.6 M pairs is 2.4 GB
+        self.forbid_pair_arrays(monkeypatch)
+        need = 72 * (2**13 * (2**13 - 1) // 2)
+        with capped_address_space(), pytest.raises(SizeGuardExceeded, match=str(need)):
+            endpoint_constraints(still_walk(), integer_grid(3), 0.0, 13)
+
+    @pytest.mark.parametrize("steps", [6, 7])
+    def test_byte_guard_edge_at_a_lowered_budget(self, monkeypatch, steps):
+        # with the budget at 72 B x C(64, 2), 6 steps are built and 7 refused
+        monkeypatch.setattr(qal.grid, "KERNEL_BYTE_BUDGET", 72 * (64 * 63 // 2))
+        pairs = 2**steps * (2**steps - 1) // 2
+        if steps == 6:
+            assert len(endpoint_constraints(still_walk(), integer_grid(3), 0.0, steps)) == pairs
+            return
+        self.forbid_pair_arrays(monkeypatch)
+
+        def refuse():
+            with capped_address_space(), pytest.raises(SizeGuardExceeded, match=str(72 * pairs)):
+                endpoint_constraints(still_walk(), integer_grid(3), 0.0, steps)
+
+        assert traced_peak(refuse) < 1 << 20
 
 
 def dense_joint_density(spec, grid, x0, steps):
@@ -558,12 +619,7 @@ class TestJointPathDensity:
         # 16 B x 2^22 x 22 = 1.48 GB is admitted and 16 B x 2^23 x 23 = 3.09 GB
         # is not; a zero gain lands both labels on one node, so the admitted
         # walk holds a single row and the guard is all that is tested
-        still = GameSpec(
-            drift=make_map("identity"),
-            gain=make_map("constant", value=0.0),
-            noise=walk().noise,
-            rules=walk().rules,
-        )
+        still = still_walk()
         need = 16 * 2**steps * steps
 
         def build():

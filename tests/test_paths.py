@@ -1,10 +1,12 @@
 """Path expansion, exact census, and the path-sum / squared-amplitude identity."""
 
+import decimal
 import functools
 import itertools
 import math
 import time
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,8 +14,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq, minimize
 
+import qal.grid
 import qal.paths
-from memory_guards import capped_address_space, traced_peak
+from memory_guards import Charged, capped_address_space, charge_then_stop, traced_peak
 from qal.core import BareDistribution, CouplingMatrix, QRuleParams, symmetric_coupling
 from qal.errors import DimensionMismatch, SizeGuardExceeded
 from qal.grid import StateGrid
@@ -207,10 +210,11 @@ class TestExpandPaths:
         assert merged == pytest.approx(raw, abs=1e-12)
 
     def test_size_guard(self):
+        # 55^4 merged terms at 108 B (0.99 GB) are admitted, 55^5 at 125 B are not
         P = bare(np.full(10, 0.1))
         d = CouplingMatrix(np.zeros((10, 10)))
-        with pytest.raises(SizeGuardExceeded):
-            expand_paths(P, d, 4)
+        with pytest.raises(SizeGuardExceeded, match=str(125 * 55**5)):
+            expand_paths(P, d, 5)
 
 
 class TestXiSum:
@@ -240,8 +244,9 @@ class TestXiSum:
         d = symmetric_coupling(P, [0.2, 0.2])
         tracemalloc.start()
         try:
-            with pytest.raises(SizeGuardExceeded, match=r"3\^15"):
-                xi_sum(P, d, 15)
+            # 16 B x 3^18 terms; 3^17 (2.07 GB) is the largest sum admitted
+            with pytest.raises(SizeGuardExceeded, match=str(16 * 3**18)):
+                xi_sum(P, d, 18)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -332,10 +337,86 @@ class TestConstraints:
             )
 
     def test_size_guard(self):
+        # 9^4 paths make 21.5 M pairs (1.55 GB), admitted; 9^5 make 1.7 G pairs
         P = bare(np.full(9, 1.0 / 9.0))
         d = CouplingMatrix(np.zeros((9, 9)))
-        with pytest.raises(SizeGuardExceeded):
-            build_constraints(P, d, 4)
+        with pytest.raises(SizeGuardExceeded, match=str(72 * (9**5 * (9**5 - 1) // 2))):
+            build_constraints(P, d, 5)
+
+
+def zero_coupling(m):
+    return bare(np.full(m, 1.0 / m)), CouplingMatrix(np.zeros((m, m)))
+
+
+def merged_terms(m, n):
+    return (m * (m + 1) // 2) ** n
+
+
+# each exhaustive builder at (M, N), and the bytes it charges there
+BYTE_GUARDED = {
+    "expand_paths": (
+        lambda m, n: expand_paths(*zero_coupling(m), n),
+        lambda m, n: (17 * n + 40) * merged_terms(m, n),
+    ),
+    "xi_sum": (lambda m, n: xi_sum(*zero_coupling(m), n), lambda m, n: 16 * merged_terms(m, n)),
+    "all_paths": (all_paths, lambda m, n: 24 * m**n * n),
+    "build_constraints": (
+        lambda m, n: build_constraints(*zero_coupling(m), n),
+        lambda m, n: 72 * (m**n * (m**n - 1) // 2),
+    ),
+}
+
+
+class TestByteGuards:
+    @pytest.mark.parametrize(
+        "name, m, n",
+        [
+            # the largest M=2 input of each builder, then inputs the count
+            # guards admitted: each must stay admitted
+            ("expand_paths", 2, 14), ("xi_sum", 2, 17), ("all_paths", 2, 21),
+            ("build_constraints", 2, 12), ("build_constraints", 3, 8),
+            ("expand_paths", 2, 11), ("expand_paths", 3162, 1), ("expand_paths", 10, 4),
+            ("xi_sum", 2, 14), ("all_paths", 2, 12), ("build_constraints", 9, 4),
+        ],
+    )
+    def test_admitted(self, monkeypatch, name, m, n):
+        build, charge = BYTE_GUARDED[name]
+        assert charge(m, n) <= qal.grid.KERNEL_BYTE_BUDGET
+        monkeypatch.setattr(qal.paths, "check_dense_budget", charge_then_stop)
+        with pytest.raises(Charged):
+            build(m, n)
+
+    @pytest.mark.parametrize(
+        "name, m, n",
+        [
+            ("expand_paths", 2, 15), ("xi_sum", 2, 18), ("all_paths", 2, 22),
+            ("build_constraints", 2, 13), ("build_constraints", 3, 9),
+        ],
+    )
+    def test_refused_naming_the_bytes_before_allocating(self, name, m, n):
+        # build_constraints is charged for its pairs before any path or pair exists
+        build, charge = BYTE_GUARDED[name]
+
+        def refuse():
+            with capped_address_space(), pytest.raises(SizeGuardExceeded, match=str(charge(m, n))):
+                build(m, n)
+
+        assert traced_peak(refuse) < 1 << 20
+
+    @pytest.mark.parametrize(
+        "name, m, n",
+        [
+            ("expand_paths", 2, 5), ("xi_sum", 2, 6), ("all_paths", 2, 5),
+            ("build_constraints", 2, 4), ("build_constraints", 3, 3),
+        ],
+    )
+    def test_edge_at_a_lowered_budget(self, monkeypatch, name, m, n):
+        # with the budget at the charge of (M, N), N is built and N + 1 refused
+        build, charge = BYTE_GUARDED[name]
+        monkeypatch.setattr(qal.grid, "KERNEL_BYTE_BUDGET", charge(m, n))
+        build(m, n)
+        with pytest.raises(SizeGuardExceeded, match=str(charge(m, n + 1))):
+            build(m, n + 1)
 
 
 class TestSolvePhases:
@@ -765,6 +846,31 @@ class TestIdentityCheck:
         rep = identity_check(P, gamma, n, seed=seed % 1000)
         if rep.feasible:
             assert rep.gap <= rep.bound
+
+    def test_round_off_grows_with_n(self):
+        # a fixed slack once sat below the round-off of a million rounds
+        rep = identity_check(bare([0.3, 0.7]), [1e-6, 2e-6], 10**6)
+        assert rep.gap > 1e-11
+        assert rep.gap <= rep.bound
+        assert not rep.bound_vacuous
+
+    @given(
+        st.lists(st.floats(0.05, 1.0), min_size=2, max_size=3),
+        st.lists(st.floats(0.0, 1e-3), min_size=3, max_size=3),
+        st.integers(1, 10**7),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_round_off_bound_at_large_n(self, weights, losses, n):
+        P = bare(np.array(weights) / sum(weights))
+        gamma = losses[: P.m]
+        rep = identity_check(P, gamma, n)
+        assert rep.feasible
+        assert rep.gap <= rep.bound
+        # the exact one-round sum: xi_1 = sum of p (1 - gamma), in rationals
+        xi1 = sum(Fraction(p) * (1 - Fraction(g)) for p, g in zip(P.probs.tolist(), gamma))
+        with decimal.localcontext(decimal.Context(prec=60)):
+            exact = float((decimal.Decimal(xi1.numerator) / xi1.denominator) ** n)
+        assert abs(rep.xi - exact) <= rep.bound
 
     def test_radices_cover_classical_mass(self):
         P = bare([0.5, 0.3, 0.2])
