@@ -18,7 +18,7 @@ import argparse
 import functools
 import os
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -213,21 +213,25 @@ def parse_config(
 
 
 def _format_value(value) -> str:
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (np.floating, float)):
         return repr(float(value))
     if isinstance(value, (np.integer, int)):
         return str(int(value))
-    if isinstance(value, (list, tuple, np.ndarray)):
-        return ";".join(_format_value(v) for v in value)
+    if isinstance(value, np.ndarray):
+        # Python scalars, whose str is the repr the scalar branches print
+        cells = value.ravel().tolist()
+        return ";".join(map(_format_value if value.dtype == bool else str, cells))
+    if isinstance(value, (list, tuple)):
+        return ";".join(map(_format_value, value))
     return str(value)
 
 
 def write_csv(
     config: ExperimentConfig,
     header: list[str],
-    rows: list[list],
+    rows: Iterable[list],
     extra_metadata: dict | None = None,
 ) -> None:
     lines = [
@@ -247,9 +251,9 @@ def write_csv(
     for key, value in (extra_metadata or {}).items():
         lines.append(f"# {key} = {_format_value(value)}")
     lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_format_value(v) for v in row))
-    Path(config.out).write_text("\n".join(lines) + "\n")
+    with open(config.out, "w") as out:
+        out.writelines(line + "\n" for line in lines)
+        out.writelines(",".join(map(_format_value, row)) + "\n" for row in rows)
 
 
 def read_csv(path: str) -> tuple[dict[str, str], list[str], list[list[str]]]:
@@ -427,8 +431,8 @@ def _run_identity_check(config: ExperimentConfig):
 def _run_phase_solve(config: ExperimentConfig):
     identity = _identity(config)
     assignment = paths.lift_phases(identity.assignment, config.params["n"])
-    # 1-based labels, one ";"-separated cell per path
-    rows = list(zip(assignment.paths + 1, assignment.phases))
+    # 1-based labels, one ";"-separated cell per path, formatted as written
+    rows = zip(assignment.paths + 1, assignment.phases)
     report = identity.solve_report
     meta = {
         "max-residual": report.max_residual,
@@ -450,22 +454,12 @@ def _game_spec(config: ExperimentConfig) -> markov.GameSpec:
 
 
 def _run_simulate_game(config: ExperimentConfig):
-    spec = _game_spec(config)
-    run_result = markov.simulate_game(
-        spec,
-        config.params["x0"],
-        config.params["rounds"],
-        config.params["trials"],
-        config.seed,
-    )
-    values, freqs = run_result.distribution()
-    rows = [
-        [v, int(round(f * run_result.trials)), f] for v, f in zip(values, freqs)
-    ]
-    gamma = spec.rules.loss_rates
+    spec, params = _game_spec(config), config.params
+    game = markov.simulate_game(spec, params["x0"], params["rounds"], params["trials"], config.seed)
+    rows = zip(game.values, game.counts, game.distribution()[1])
     meta = {
-        "frozen-mean": run_result.mean_frozen,
-        "frozen-expected": config.params["rounds"] * float(gamma @ spec.noise.probs),
+        "frozen-mean": game.mean_frozen,
+        "frozen-expected": params["rounds"] * float(spec.rules.loss_rates @ spec.noise.probs),
     }
     return 0, ["final_state", "count", "frequency"], rows, meta
 

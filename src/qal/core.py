@@ -38,6 +38,7 @@ __all__ = [
     "symmetric_coupling",
     "symmetrizing_misreads",
     "sample_readings",
+    "reading_work",
 ]
 
 #: Reading outcome marker: the draw was lost and the driven system holds state.
@@ -251,11 +252,18 @@ def symmetrizing_misreads(bare: BareDistribution, loss_rates) -> QRuleParams:
     return QRuleParams(gamma, misreads)
 
 
+def reading_work(draws: int) -> tuple[np.ndarray, ...]:
+    """Buffers that :func:`sample_readings` calls of up to ``draws`` readings can reuse."""
+    index = np.empty(draws, np.intp)
+    return np.empty(3 * draws), index, np.empty_like(index), np.empty(draws, bool)
+
+
 def sample_readings(
     bare: BareDistribution,
     rules: QRuleParams,
     rng: np.random.Generator,
     size: int | tuple[int, ...],
+    work: tuple[np.ndarray, ...] | None = None,
 ) -> np.ndarray:
     """Array of reading outcomes of the given shape; ``LOST`` marks lost draws.
 
@@ -265,16 +273,23 @@ def sample_readings(
     each trailing row draws its true-outcome uniforms, then its read
     uniforms.  A ``(R, n)`` call therefore consumes the stream exactly as R
     consecutive ``size=n`` calls do and returns the same readings.
+
+    ``work`` from :func:`reading_work` lends the call its buffers, so a loop
+    of calls allocates nothing; the readings are then a view into it, valid
+    until the next call with the same ``work``.
     """
     _check_same_m(bare, rules.m, "sample_readings")
     m = rules.m
     shape = (size,) if np.ndim(size) == 0 else tuple(size)
-    u = rng.random(shape[:-1] + (2, shape[-1]))
+    n = int(np.prod(shape))
+    work = reading_work(n) if work is None else work
+    u = rng.random(out=work[0][: 2 * n].reshape(shape[:-1] + (2, shape[-1])))
     true_u, read_u = u[..., 0, :], u[..., 1, :]
+    edge_u, true_idx, pos, mask = (b[:n].reshape(shape) for b in (work[0][2 * n :], *work[1:]))
     # true index: cumulative weights at or below the uniform, the last taken as 1
-    true_idx = np.zeros(shape, dtype=np.intp)
+    true_idx[...] = 0
     for c in np.cumsum(bare.probs)[:-1]:
-        true_idx += true_u >= c
+        true_idx += np.greater_equal(true_u, c, out=mask)
     # Column l partitions the read uniform: lost below edges[0, l], misread as
     # others[k - 1, l] from edges[k, l], correct read from edges[m - 1, l] on.
     rows = np.arange(m - 1)[:, None]
@@ -283,7 +298,9 @@ def sample_readings(
     edges = np.vstack([rules.loss_rates, np.take_along_axis(reach, others, axis=0)])
     outcomes = np.vstack([np.full(m, LOST), others, np.arange(m)]).ravel()
     # flat index into outcomes: m per edge passed, plus the true column
-    pos = true_idx.copy()
+    pos[...] = 0
     for edge in edges:
-        pos += m * (read_u >= edge.take(true_idx))
-    return outcomes.take(pos)
+        pos += np.greater_equal(read_u, edge.take(true_idx, out=edge_u, mode="clip"), out=mask)
+    pos *= m
+    pos += true_idx
+    return outcomes.take(pos, out=true_idx, mode="clip")

@@ -20,6 +20,7 @@ from .core import (
     BareDistribution,
     QRuleParams,
     effective_distribution,
+    reading_work,
     sample_readings,
     symmetric_coupling,
 )
@@ -100,37 +101,45 @@ class GameSpec:
 
 @dataclass(frozen=True, eq=False)
 class GameRun:
-    """Monte Carlo result: final state and frozen-round count per trial."""
+    """Monte Carlo histogram: distinct final states, ascending, and the trials ending on each."""
 
-    finals: np.ndarray
-    frozen_counts: np.ndarray
+    values: np.ndarray
+    counts: np.ndarray
+    frozen_total: int
     trials: int
     rounds: int
     seed: int
 
     def distribution(self) -> tuple[np.ndarray, np.ndarray]:
-        values, counts = np.unique(self.finals, return_counts=True)
-        return values, counts / self.trials
+        return self.values, self.counts / self.trials
 
     @property
     def mean_frozen(self) -> float:
-        return float(self.frozen_counts.mean())
+        return self.frozen_total / self.trials
 
 
 def _simulate_block(
-    spec: GameSpec, x0: float, rounds: int, rng: np.random.Generator, count: int
+    spec: GameSpec, x0: float, rounds: int, rng: np.random.Generator, count: int, work: tuple
 ) -> tuple[np.ndarray, np.ndarray]:
     x = np.full(count, float(x0))
     frozen = np.zeros(count, dtype=np.int64)
     chunk = max(1, CHUNK_VALUES // count)  # rounds of readings drawn at once
     for first in range(0, rounds, chunk):
-        reads = sample_readings(spec.noise, spec.rules, rng, (min(chunk, rounds - first), count))
-        lost = reads == LOST
-        frozen += lost.sum(axis=0)
-        for row, lost_row in zip(reads, lost):
+        shape = (min(chunk, rounds - first), count)
+        for row in sample_readings(spec.noise, spec.rules, rng, shape, work):
+            lost = row == LOST
+            frozen += lost
             # a lost read's LOST index takes some label; the mask discards it
-            x = np.where(lost_row, x, spec.drift(x) + spec.gain(x) * spec.noise.labels.take(row))
+            x = np.where(lost, x, spec.drift(x) + spec.gain(x) * spec.noise.labels.take(row))
     return x, frozen
+
+
+def _merge_histograms(parts: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """One histogram from several: distinct sorted values, exact int64 counts."""
+    values, where = np.unique(np.concatenate([v for v, _ in parts]), return_inverse=True)
+    counts = np.zeros(values.size, dtype=np.int64)
+    np.add.at(counts, where, np.concatenate([c for _, c in parts]))
+    return values, counts
 
 
 def simulate_game(spec: GameSpec, x0: float, rounds: int, trials: int, seed: int) -> GameRun:
@@ -138,22 +147,28 @@ def simulate_game(spec: GameSpec, x0: float, rounds: int, trials: int, seed: int
 
     Lost readings freeze the trial for that round.  Trials are partitioned
     into fixed blocks of 4096 with one generator substream each, so any
-    execution order of the blocks reproduces the same run.
+    execution order of the blocks reproduces the same run.  Each block is
+    reduced to its histogram at once; the block histograms are merged once
+    they outnumber the merged one, so memory is O(distinct final states +
+    one block) and a run of all-distinct finals sorts O(log blocks) times.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     if rounds < 0:
         raise ValueError("rounds must be non-negative")
-    finals = np.empty(trials)
-    frozen = np.empty(trials, dtype=np.int64)
+    work = reading_work(min(CHUNK_VALUES, rounds * min(trials, _BLOCK)))
+    merged = (np.empty(0), np.empty(0, dtype=np.int64))
+    pending, held, frozen_total = [], 0, 0
     streams = np.random.SeedSequence(seed).spawn(-(-trials // _BLOCK))
     for start, stream in zip(range(0, trials, _BLOCK), streams):
         count = min(_BLOCK, trials - start)
-        rng = np.random.default_rng(stream)
-        finals[start : start + count], frozen[start : start + count] = _simulate_block(
-            spec, x0, rounds, rng, count
-        )
-    return GameRun(finals=finals, frozen_counts=frozen, trials=trials, rounds=rounds, seed=seed)
+        x, frozen = _simulate_block(spec, x0, rounds, np.random.default_rng(stream), count, work)
+        pending.append(np.unique(x, return_counts=True))
+        held += pending[-1][0].size
+        frozen_total += int(frozen.sum())
+        if held >= max(merged[0].size, _BLOCK) or start + count == trials:
+            merged, pending, held = _merge_histograms([merged, *pending]), [], 0
+    return GameRun(*merged, frozen_total, trials=trials, rounds=rounds, seed=seed)
 
 
 # ---------------------------------------------------------------------------

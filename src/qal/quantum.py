@@ -517,7 +517,9 @@ def roughness_scan(
             if mode == "classical":
                 x[0] = offset + velocity * eps * np.arange(n_steps + 1)
             else:
-                np.cumsum(rng.normal(0.0, scale, size=inc.shape), axis=1, out=x[:, 1:])
+                # scale * z is normal(0, scale) up to the sign of an exact zero
+                np.multiply(rng.standard_normal(out=inc), scale, out=inc)
+                np.cumsum(inc, axis=1, out=x[:, 1:])
                 x[:, 0] = 0.0
                 x += offset
             if dx is not None:

@@ -7,6 +7,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import qal
 import qal.cli
@@ -406,6 +409,33 @@ def command_csvs(tmp_path_factory):
         command: (run_in(tmp, [command, *argv, "--out", f"{command}.csv"]), tmp / f"{command}.csv")
         for command, argv in SMALL_ARGV.items()
     }
+
+
+class TestCsvCells:
+    @given(
+        hnp.arrays(
+            st.sampled_from([np.int64, np.float64, np.float32, np.bool_]),
+            hnp.array_shapes(min_dims=1, max_dims=2, max_side=5),
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_array_cell_formats_each_scalar(self, array):
+        # oracle: every element formatted as the numpy scalar it is
+        expected = ";".join(qal.cli._format_value(v) for v in array.ravel())
+        assert qal.cli._format_value(array) == expected
+
+    def test_booleans_print_lower_case(self):
+        assert qal.cli._format_value(np.array([True, False])) == "true;false"
+        assert qal.cli._format_value(np.bool_(False)) == "false"
+        assert qal.cli._format_value([True, np.bool_(True)]) == "true;true"
+
+    def test_rows_may_be_a_one_shot_iterator(self, tmp_path):
+        config = parse_config("census", {"m": 2, "n": 1}, out=str(tmp_path / "c.csv"))
+        rows = ([np.arange(k), float(k)] for k in range(3))
+        qal.cli.write_csv(config, ["path", "phase"], rows)
+        assert read_csv(tmp_path / "c.csv")[1:] == (
+            ["path", "phase"], [["", "0.0"], ["0", "1.0"], ["0;1", "2.0"]]
+        )
 
 
 class TestCommandTable:

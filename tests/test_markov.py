@@ -10,7 +10,14 @@ from hypothesis import strategies as st
 import qal.grid
 import qal.markov
 from memory_guards import Charged, capped_address_space, charge_then_stop, traced_peak
-from qal.core import LOST, BareDistribution, QRuleParams, effective_distribution, sample_readings
+from qal.core import (
+    LOST,
+    BareDistribution,
+    QRuleParams,
+    effective_distribution,
+    reading_work,
+    sample_readings,
+)
 from qal.errors import DimensionMismatch, OffGridImage, SizeGuardExceeded
 from qal.grid import KERNEL_BYTE_BUDGET, StateGrid
 from qal.markov import (
@@ -125,6 +132,17 @@ class TestMaps:
             make_map("cubic")
 
 
+def histogram(finals):
+    return np.unique(finals, return_counts=True)
+
+
+def assert_same_run(run, values, counts, frozen_total):
+    assert np.array_equal(run.values, values)
+    assert np.array_equal(run.counts, counts)
+    assert run.counts.dtype == np.int64
+    assert run.frozen_total == frozen_total
+
+
 class TestSimulateGame:
     def test_deterministic_when_gain_vanishes(self):
         spec = GameSpec(
@@ -134,7 +152,8 @@ class TestSimulateGame:
             rules=QRuleParams.lossless(2),
         )
         run = simulate_game(spec, x0=1.5, rounds=5, trials=200, seed=0)
-        assert np.all(run.finals == 1.5)
+        assert_same_run(run, [1.5], [200], 0)
+        assert run.distribution()[1].tolist() == [1.0]
 
     def test_single_step_law(self):
         run = simulate_game(walk(), x0=0.0, rounds=1, trials=10**6, seed=1)
@@ -170,16 +189,15 @@ class TestSimulateGame:
         spec = walk()
         trials = 10_000  # two whole blocks and a partial one
         reference = simulate_game(spec, 0.0, 3, trials, seed=9)
-        pieces = []
+        finals = np.empty(trials)
+        frozen = np.empty(trials, dtype=np.int64)
         starts = list(range(0, trials, _BLOCK))
         for begin, stream in sorted(zip(starts, block_streams(9, trials)), reverse=True):
             count = min(_BLOCK, trials - begin)
             rng = np.random.default_rng(stream)
-            pieces.append((begin, _simulate_block(spec, 0.0, 3, rng, count)))
-        finals = np.empty(trials)
-        for begin, (fin, _) in pieces:
-            finals[begin : begin + fin.size] = fin
-        assert np.array_equal(finals, reference.finals)
+            block = _simulate_block(spec, 0.0, 3, rng, count, reading_work(3 * count))
+            finals[begin : begin + count], frozen[begin : begin + count] = block
+        assert_same_run(reference, *histogram(finals), frozen.sum())
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
@@ -190,20 +208,52 @@ class TestSimulateGame:
         # |x| <= 7 maps into itself for |y| <= 3: no overflow however many rounds
         drift = make_map("quadratic", slope=0.5, curvature=float(rng.uniform(-0.01, 0.01)))
         spec = random_game(rng, drift)
-        expected = per_round_game(spec, 0.0, rounds, trials, seed)
+        # every block, trial by trial, drawing through one reused set of buffers
+        work = reading_work(qal.grid.CHUNK_VALUES)
+        for begin, stream in zip(range(0, trials, _BLOCK), block_streams(seed, trials)):
+            count = min(_BLOCK, trials - begin)
+            oracle = per_round_block(spec, 0.0, rounds, np.random.default_rng(stream), count)
+            block = _simulate_block(spec, 0.0, rounds, np.random.default_rng(stream), count, work)
+            assert np.array_equal(block[0], oracle[0])
+            assert np.array_equal(block[1], oracle[1])
+        finals, frozen = per_round_game(spec, 0.0, rounds, trials, seed)
         run = simulate_game(spec, 0.0, rounds, trials, seed)
-        assert np.array_equal(run.finals, expected[0])
-        assert np.array_equal(run.frozen_counts, expected[1])
+        assert_same_run(run, *histogram(finals), frozen.sum())
+
+    def test_all_distinct_finals_merge_exactly_and_rarely(self, monkeypatch):
+        # a lossless contracting quadratic drift over 48 rounds: every trial's
+        # label sequence, hence its final state, is its own
+        spec = GameSpec(
+            drift=make_map("quadratic", slope=0.5, curvature=0.0123),
+            gain=make_map("constant", value=1.0),
+            noise=walk().noise,
+            rules=QRuleParams.lossless(2),
+        )
+        rounds, trials, seed = 48, 16 * _BLOCK + 100, 5
+        merges = []
+        merge = qal.markov._merge_histograms
+        monkeypatch.setattr(
+            qal.markov, "_merge_histograms", lambda parts: merges.append(len(parts)) or merge(parts)
+        )
+        run = simulate_game(spec, 0.0, rounds, trials, seed)
+        finals, frozen = per_round_game(spec, 0.0, rounds, trials, seed)
+        assert run.values.size == trials
+        assert_same_run(run, *histogram(finals), 0)
+        # 17 blocks: merged after blocks 1, 2, 4, 8 and 16 and at the end
+        assert len(merges) <= np.log2(17) + 2
 
     def test_block_memory_does_not_grow_with_rounds(self):
         # one 4096-trial block; 2000 rounds of readings at once would be 131 MB
         assert traced_peak(lambda: simulate_game(walk(), 0.0, 2000, 4096, seed=1)) < 8 << 20
 
+    def test_run_memory_does_not_grow_with_trials(self):
+        # a million trials of a +-1 walk end on 5 states; per-trial finals alone are 8 MB
+        assert traced_peak(lambda: simulate_game(walk(), 0.0, 2, 10**6, seed=1)) < 8 << 20
+
     def test_same_seed_same_run(self):
         a = simulate_game(walk(), 0.0, 4, 5000, seed=7)
         b = simulate_game(walk(), 0.0, 4, 5000, seed=7)
-        assert np.array_equal(a.finals, b.finals)
-        assert np.array_equal(a.frozen_counts, b.frozen_counts)
+        assert_same_run(a, b.values, b.counts, b.frozen_total)
 
 
 class TestEffectiveKernel:

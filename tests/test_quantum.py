@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memory_guards import capped_address_space, traced_peak
 from qal.errors import PhaseWrapGuard, SizeGuardExceeded
@@ -526,6 +528,23 @@ class TestRoughness:
                 assert point.mean_sq_increment == oracle
             else:  # the samples are identical; only the summation order differs
                 assert abs(point.mean_sq_increment - oracle) <= 2 * np.spacing(oracle)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_steps=st.integers(1, 40),
+        n_samples=st.integers(1, 300),
+        eps=st.floats(1e-5, 1e-1),
+        lattice=st.sampled_from([None, 1e-3, 0.05]),
+        offset=st.floats(-2.0, 2.0),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_in_place_draw_is_the_normal_draw(self, seed, n_steps, n_samples, eps, lattice, offset):
+        # one chunk: the oracle's rng.normal draws, summed in the same order
+        params = ParticleParams(mass=0.7, alpha=1.3)
+        kwargs = dict(n_steps=n_steps, n_samples=n_samples, seed=seed, dx=lattice, offset=offset)
+        report = roughness_scan(params, [eps, eps / 3], **kwargs)
+        expected = whole_array_scan(params, [eps, eps / 3], **kwargs)
+        assert [p.mean_sq_increment for p in report.points] == expected
 
     @pytest.mark.parametrize("lattice", [None, 1e-4], ids=["continuous", "dx-offset"])
     def test_classical_scan_is_the_whole_array_scan(self, lattice):
