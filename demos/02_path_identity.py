@@ -16,7 +16,7 @@ residual, r* and a gap bound instead.
 import numpy as np
 
 from qal.core import BareDistribution, symmetric_coupling
-from qal.paths import build_constraints, census, expand_paths, identity_check, xi_sum
+from qal.paths import all_paths, build_constraints, census, expand_paths, identity_check, xi_sum
 
 print("== exact census ==")
 for m, n in [(2, 1), (2, 2), (3, 2), (4, 3)]:
@@ -45,9 +45,10 @@ print("  total:", xi_sum(bare, coupling, 1), " (= (0.4 + 0.4)^1)")
 
 print("\n== constraints at M=2, N=2 ==")
 cs = build_constraints(bare, coupling, 2)
+rows = all_paths(2, 2)  # a constraint's pair indices are rows of this table
 print(f"  {len(cs)} pair constraints in {cs.n_groups} radix groups")
 for i, j, target in zip(cs.pair_i[:3], cs.pair_j[:3], cs.targets[:3]):
-    a, b = cs.paths[i], cs.paths[j]
+    a, b = rows[i], rows[j]
     differ = tuple(int(r) for r in np.flatnonzero(a != b))
     print(f"  paths {label_row(a)} vs {label_row(b)}: differ at {differ}, target {target:+.4f}")
 

@@ -432,7 +432,7 @@ def _run_phase_solve(config: ExperimentConfig):
     identity = _identity(config)
     assignment = paths.lift_phases(identity.assignment, config.params["n"])
     # 1-based labels, one ";"-separated cell per path, formatted as written
-    rows = zip(assignment.paths + 1, assignment.phases)
+    rows = zip(paths.all_paths(assignment.m, assignment.n) + 1, assignment.phases)
     report = identity.solve_report
     meta = {
         "max-residual": report.max_residual,

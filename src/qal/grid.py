@@ -58,13 +58,9 @@ class StateGrid:
     def x0(self) -> float:
         return float(self.nodes[0])
 
-    def snap_index(self, x: float, wrap: bool = False) -> int:
-        """Index of the node nearest to ``x``; the image must land within dx/2.
-
-        With ``wrap`` the grid is treated as periodic: images beyond either
-        end map around, but off-lattice images still fail the dx/2 test.
-        """
-        return int(self.snap_indices(np.array([float(x)]), wrap=wrap)[0])
+    def snap_index(self, x: float) -> int:
+        """Index of the node nearest to ``x``; it must lie on the grid, within dx/2 of a node."""
+        return int(self.snap_indices(np.array([float(x)]))[0])
 
     def snap_indices(self, xs: np.ndarray, wrap: bool = False) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)

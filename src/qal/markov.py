@@ -26,7 +26,7 @@ from .core import (
 )
 from .errors import DimensionMismatch, SizeGuardExceeded
 from .grid import CHUNK_VALUES, StateGrid, check_dense_budget
-from .paths import PAIR_BYTES, ConstraintSet, PhaseAssignment, all_paths, constraints_for_pairs
+from .paths import PAIR_BYTES, ConstraintSet, PhaseAssignment, _path_products, constraints_for_pairs
 
 __all__ = [
     "GameSpec",
@@ -254,6 +254,15 @@ def propagate_distribution(
 # ---------------------------------------------------------------------------
 
 
+def _path_ends(table: np.ndarray, starts: np.ndarray, steps: int) -> np.ndarray:
+    """End node of each label path (row p * M + j continues row p by label j) from each start."""
+    m = table.shape[0]
+    ends = starts[None, :]
+    for _ in range(steps):
+        ends = table[np.arange(m)[:, None], ends[:, None]].reshape(m * len(ends), -1)
+    return ends
+
+
 def amplitude_propagate(
     spec: GameSpec,
     grid: StateGrid,
@@ -265,10 +274,9 @@ def amplitude_propagate(
     """Coherent propagation: every label path carries sqrt(P) weights and a phase.
 
     ``phases=None`` or an array of M label phases, added at every step, uses
-    the one-step complex transfer matrix (phases linear in the labels).  A
-    :class:`~qal.paths.PhaseAssignment` triggers the exact path sum, bounded
-    by ``PATH_SUM_GUARD`` K x P walks; it must hold every label path once, or
-    :class:`~qal.errors.DimensionMismatch` is raised.
+    the one-step complex transfer matrix.  A :class:`~qal.paths.PhaseAssignment`
+    over the M^steps label paths triggers the exact path sum, bounded by
+    ``PATH_SUM_GUARD`` K x P walks, its terms added path-major as a walk path by path adds them.
     """
     psi = np.asarray(psi0, dtype=complex)
     if psi.size != grid.size:
@@ -280,21 +288,17 @@ def amplitude_propagate(
     m, k = table.shape
 
     if isinstance(phases, PhaseAssignment):
-        phases.check_covers(m, steps)
-        paths_arr = phases.paths
-        if k * len(phases) > PATH_SUM_GUARD:
-            raise SizeGuardExceeded(f"path sum: {k}×{len(phases)} walks > {PATH_SUM_GUARD}")
-        radices = np.prod(sqrtp[paths_arr], axis=1)
-        amps = radices * np.exp(1j * phases.phases)
+        if (phases.m, phases.n) != (m, steps):
+            raise DimensionMismatch(
+                f"assignment covers {phases.m}^{phases.n} paths, not {m}^{steps}"
+            )
+        if k * m**steps > PATH_SUM_GUARD:
+            raise SizeGuardExceeded(f"path sum: {k}×{m**steps} walks > {PATH_SUM_GUARD}")
+        amps = _path_products(sqrtp, steps) * np.exp(1j * phases.phases)
+        start = np.flatnonzero(psi)  # nodes where psi vanishes add only zeros
+        ends = _path_ends(table, start, steps).ravel()
         out = np.zeros(k, dtype=complex)
-        # nodes where psi vanishes add only zeros; walking them changes no sum
-        start = np.flatnonzero(psi)
-        weights = psi[start]
-        for path, amp in zip(paths_arr, amps):
-            cur = start
-            for label in path:
-                cur = table[label, cur]
-            np.add.at(out, cur, amp * weights)
+        np.add.at(out, ends, np.multiply.outer(amps, psi[start]).ravel())
         return out
 
     theta = np.zeros(m) if phases is None else np.asarray(phases, dtype=float)
@@ -303,8 +307,7 @@ def amplitude_propagate(
     weights = sqrtp * np.exp(1j * theta)
     for _ in range(steps):
         nxt = np.zeros(k, dtype=complex)
-        for j in range(m):
-            np.add.at(nxt, (table[j],), weights[j] * psi)
+        np.add.at(nxt, table.ravel(), np.multiply.outer(weights, psi).ravel())  # label-major
         psi = nxt
     return psi
 
@@ -323,17 +326,16 @@ def endpoint_constraints(
     the given start are constrained against each other.
     """
     coupling = symmetric_coupling(spec.noise, spec.rules.loss_rates)
-    paths_arr = all_paths(spec.noise.m, steps)
+    # end nodes, np.unique's sorted copy and masks: 18.07, 18.03 B a path at M=2, 20 and 22 steps
+    check_dense_budget(spec.noise.m**steps, 1, 20, "endpoint walk")
     table = _image_table(spec, grid, boundary)
-    ends = np.full(paths_arr.shape[0], grid.snap_index(x0))
-    for labels in paths_arr.T:
-        ends = table[labels, ends]
+    ends = _path_ends(table, np.array([grid.snap_index(x0)]), steps).ravel()
     nodes, counts = np.unique(ends, return_counts=True)
     check_dense_budget(int(counts @ (counts - 1)) // 2, 1, PAIR_BYTES, "phase constraints")
     groups = (np.flatnonzero(ends == node) for node in nodes)
     pairs = [g[np.array(np.triu_indices(g.size, k=1))] for g in groups]
     pair_i, pair_j = np.concatenate(pairs, axis=1)
-    return constraints_for_pairs(spec.noise, coupling, paths_arr, pair_i, pair_j)
+    return constraints_for_pairs(spec.noise, coupling, steps, pair_i, pair_j)
 
 
 # ---------------------------------------------------------------------------

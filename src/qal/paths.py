@@ -6,9 +6,9 @@ terms carrying cross-outcome coupling factors.  With symmetric couplings the
 raw M^(2N) terms collapse, by merging twin terms, to ((M^2+M)/2)^N canonical
 terms, and the whole sum can be rewritten as the squared modulus of a single
 complex sum over the M^N classical paths, each weighted by the square root of
-its probability and a solved phase.  Both enumerations are index arrays: an
-:class:`Expansion` holds one row of per-round labels per canonical term, and
-:func:`all_paths` one row per classical path.
+its probability and a solved phase.  An :class:`Expansion` holds one row of
+per-round labels per canonical term; a classical path is its index, whose
+base-M digits are its labels (:func:`all_paths`).
 
 The phase constraints are grouped by shared radix (the square-root factor
 pattern two paths have in common): within one radix group the mean of
@@ -128,6 +128,14 @@ class Expansion:
     multiplicity: np.ndarray
 
 
+def _path_products(factors: np.ndarray, n: int) -> np.ndarray:
+    """Per-label factors multiplied along every N-round path, left to right, in path order."""
+    products = np.ones(1)
+    for _ in range(n):
+        products = np.multiply.outer(products, factors).ravel()
+    return products
+
+
 def _round_options(
     bare: BareDistribution, coupling: CouplingMatrix
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -161,13 +169,12 @@ def expand_paths(bare: BareDistribution, coupling: CouplingMatrix, n: int) -> Ex
     rows = np.arange(k**n)
     base = np.empty((rows.size, n), dtype=np.int64)
     partner = np.empty((rows.size, n), dtype=np.int64)
-    value = np.ones(rows.size)
     for r in range(n):
         # option index of round r: digit r of the row number in base k
         option = rows // k ** (n - 1 - r) % k
         base[:, r] = opt_base[option]
         partner[:, r] = opt_partner[option]
-        value *= factor[option]  # the round-by-round product, left to right
+    value = _path_products(factor, n)  # the round-by-round product, left to right
     multiplicity = 1 << (partner >= 0).sum(axis=1)
     return Expansion(base=base, partner=partner, value=value, multiplicity=multiplicity)
 
@@ -180,12 +187,9 @@ def xi_sum(bare: BareDistribution, coupling: CouplingMatrix, n: int) -> float:
     """
     _check_expansion(bare, coupling, n, 16, "path sum")  # the terms and their cumsum
     _, partner, factor = _round_options(bare, coupling)
-    weights = np.where(partner < 0, factor, 2.0 * factor)
-    terms = weights
-    for _ in range(n - 1):
-        terms = np.multiply.outer(terms, weights)
+    terms = _path_products(np.where(partner < 0, factor, 2.0 * factor), n)
     # accumulate in expansion row order, as the term-by-term sum does, bit for bit
-    return float(np.cumsum(terms.ravel())[-1])
+    return float(np.cumsum(terms)[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -193,32 +197,42 @@ def xi_sum(bare: BareDistribution, coupling: CouplingMatrix, n: int) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _labels_of(index: np.ndarray, m: int, n: int) -> np.ndarray:
+    """Labels of N-round paths: the base-M digits of indices in [0, M^N), most significant first."""
+    labels = np.empty((index.size, n), dtype=np.int64)
+    rows = max(1, CHUNK_VALUES // n)
+    for lo in range(0, index.size, rows):
+        labels[lo : lo + rows] = np.transpose(np.unravel_index(index[lo : lo + rows], (m,) * n))
+    return labels
+
+
 def all_paths(m: int, n: int) -> np.ndarray:
     """All M^N classical paths in lexicographic order, as an (M^N, N) array."""
-    check_dense_budget(m**n, n, 24, "classical paths")  # meshgrid, stack, int64 copy
-    grids = np.meshgrid(*([np.arange(m)] * n), indexing="ij")
-    return np.stack([g.reshape(-1) for g in grids], axis=1).astype(np.int64)
+    # rows, index and a chunk: 8.09, 8.42 B resident a cell of M^N x (N + 1) at M=2 N=20, 18
+    check_dense_budget(m**n, n + 1, 9, "classical paths")
+    return _labels_of(np.arange(m**n), m, n)
 
 
-def path_radices(bare: BareDistribution, paths: np.ndarray) -> np.ndarray:
-    """Square-root path weights: sqrt of the product of bare probabilities."""
-    return np.sqrt(np.prod(bare.probs[paths], axis=1))
+def path_radices(bare: BareDistribution, n: int) -> np.ndarray:
+    """Square-root weights of the M^N paths: sqrt of the product of bare probabilities."""
+    return np.sqrt(_path_products(bare.probs, n))
 
 
 @dataclass(frozen=True, eq=False)
 class ConstraintSet:
     """Pair constraints between classical paths, grouped by radix, as arrays.
 
-    Constraint n ties the label rows ``paths[pair_i[n]]`` and
-    ``paths[pair_j[n]]``.  ``group_inverse`` maps each pair to its radix group
+    Constraint n ties the paths ``pair_i[n]`` and ``pair_j[n]`` of the M^N
+    N-round paths.  ``group_inverse`` maps each pair to its radix group
     (pairs sharing the per-round unordered label pattern), the granularity at
     which the phase system is solved: the mean of cos(phi_i - phi_j) over the
     ``group_sizes[g]`` pairs of group g must match ``group_targets[g]``, the
-    product of couplings over the rounds where the rows differ.  ``len``
+    product of couplings over the rounds where the paths differ.  ``len``
     counts the pairs.
     """
 
-    paths: np.ndarray
+    m: int
+    n: int
     pair_i: np.ndarray
     pair_j: np.ndarray
     group_inverse: np.ndarray
@@ -227,7 +241,7 @@ class ConstraintSet:
 
     @property
     def n_paths(self) -> int:
-        return int(self.paths.shape[0])
+        return self.m**self.n
 
     @property
     def n_groups(self) -> int:
@@ -249,40 +263,40 @@ class ConstraintSet:
 def constraints_for_pairs(
     bare: BareDistribution,
     coupling: CouplingMatrix,
-    paths: np.ndarray,
+    n: int,
     pair_i: np.ndarray,
     pair_j: np.ndarray,
 ) -> ConstraintSet:
-    """Constraint set over an explicit list of path pairs.
+    """Constraint set over an explicit list of pairs of N-round path indices.
 
     Used directly by the game module, where only paths sharing an endpoint
     are constrained against each other.  One pass over the pairs, in chunks
-    of ``CHUNK_VALUES`` labels, codes each pair's per-round unordered label
-    pattern; every group's target is its first pair's coupling product.
+    of ``CHUNK_VALUES`` labels read off the indices, codes each pair's
+    per-round unordered label pattern; every group's target is its first
+    pair's coupling product.
     """
     if coupling.m != bare.m:
         raise DimensionMismatch("coupling size does not match the distribution")
-    paths = np.asarray(paths, dtype=np.int64)
+    m = bare.m
     pair_i = np.asarray(pair_i, dtype=np.int64)
     pair_j = np.asarray(pair_j, dtype=np.int64)
     if pair_i.size != pair_j.size:
         raise DimensionMismatch("pair arrays must have equal length")
     check_dense_budget(pair_i.size, 1, PAIR_BYTES, "phase constraints")
-    m, n = bare.m, paths.shape[1]
     weights = (m * m) ** np.arange(n, dtype=np.int64)
     rows = CHUNK_VALUES // n
     codes = np.empty(pair_i.size, dtype=np.int64)
     for lo in range(0, codes.size, rows):
-        a = paths[pair_i[lo : lo + rows]]
-        b = paths[pair_j[lo : lo + rows]]
+        a = _labels_of(pair_i[lo : lo + rows], m, n)
+        b = _labels_of(pair_j[lo : lo + rows], m, n)
         pattern = np.minimum(a, b) * m + np.maximum(a, b)  # round r: digit r, base M^2
         codes[lo : lo + rows] = (pattern * weights).sum(axis=1)
     _, first, inverse, sizes = np.unique(
         codes, return_index=True, return_inverse=True, return_counts=True
     )
-    a, b = paths[pair_i[first]], paths[pair_j[first]]
+    a, b = _labels_of(pair_i[first], m, n), _labels_of(pair_j[first], m, n)
     targets = np.where(a == b, 1.0, coupling.d[a, b]).prod(axis=1)
-    return ConstraintSet(paths, pair_i, pair_j, inverse, sizes, targets)
+    return ConstraintSet(m, n, pair_i, pair_j, inverse, sizes, targets)
 
 
 def build_constraints(
@@ -292,7 +306,7 @@ def build_constraints(
     k = bare.m**n
     check_dense_budget(k * (k - 1) // 2, 1, PAIR_BYTES, "phase constraints")
     pair_i, pair_j = np.triu_indices(k, k=1)
-    return constraints_for_pairs(bare, coupling, all_paths(bare.m, n), pair_i, pair_j)
+    return constraints_for_pairs(bare, coupling, n, pair_i, pair_j)
 
 
 # ---------------------------------------------------------------------------
@@ -302,36 +316,17 @@ def build_constraints(
 
 @dataclass(frozen=True, eq=False)
 class PhaseAssignment:
-    """One phase per classical path, gauge-fixed to 0 on the first path."""
+    """One phase per N-round path over M labels, by path index; a solve's are 0 on path 0."""
 
-    paths: np.ndarray
+    m: int
+    n: int
     phases: np.ndarray
 
     def __post_init__(self) -> None:
-        paths = np.asarray(self.paths, dtype=np.int64)
         phases = np.asarray(self.phases, dtype=float)
-        if paths.shape[0] != phases.size:
-            raise DimensionMismatch("one phase per path required")
-        object.__setattr__(self, "paths", paths)
+        if phases.shape != (self.m**self.n,):
+            raise DimensionMismatch(f"one phase per path required: shape ({self.m}^{self.n},)")
         object.__setattr__(self, "phases", phases)
-
-    def __len__(self) -> int:
-        return int(self.phases.size)
-
-    def check_covers(self, m: int, n: int) -> None:
-        """Refuse unless the rows are every N-round path over labels 0..M-1, once each."""
-        rows = self.paths
-        if rows.ndim != 2 or rows.shape[1] != n:
-            raise DimensionMismatch(f"assignment covers {rows.shape[-1]} rounds, not {n}")
-        if (
-            rows.shape[0] != m**n
-            or rows.min() < 0
-            or rows.max() >= m
-            or np.unique(rows @ m ** np.arange(n)).size != m**n
-        ):
-            raise DimensionMismatch(
-                f"assignment must hold each of the {m}^{n} label paths exactly once"
-            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -385,7 +380,7 @@ def _solved(
         infeasible_indices=np.zeros(0, dtype=np.int64),
         lower_bound=lower_bound,
     )
-    return PhaseAssignment(constraints.paths, phi), report
+    return PhaseAssignment(constraints.m, constraints.n, phi), report
 
 
 def _group_jacobian(constraints: ConstraintSet, phi: np.ndarray) -> np.ndarray:
@@ -433,7 +428,7 @@ def solve_phases(
             best_start=-1,
             infeasible_indices=bad,
         )
-        return PhaseAssignment(constraints.paths, np.zeros(k)), report
+        return PhaseAssignment(constraints.m, constraints.n, np.zeros(k)), report
 
     def residuals(x: np.ndarray) -> np.ndarray:
         # x holds the K - 1 free phases (path 0 is held at 0), then t if present
@@ -537,17 +532,23 @@ def single_round_phases(
 
 def lift_phases(labels: PhaseAssignment, n: int) -> PhaseAssignment:
     """Additive N-round phases: each path's phase is the sum of its label phases."""
-    paths = all_paths(len(labels), n)
-    return PhaseAssignment(paths, _wrap_phases(labels.phases[paths].sum(axis=1)))
+    if labels.n != 1:
+        raise DimensionMismatch(f"label phases cover one round, not {labels.n}")
+    # rows and their phases: 15.6, 15.6, 15.4 B a cell of M^N x (N + 1) at M=2 N=20, 18, M=3 N=12
+    check_dense_budget(labels.m**n, n + 1, 16, "lifted phases")
+    paths = all_paths(labels.m, n)
+    return PhaseAssignment(labels.m, n, _wrap_phases(labels.phases[paths].sum(axis=1)))
 
 
 def amplitude_sum(
     bare: BareDistribution, assignment: PhaseAssignment, n: int
 ) -> complex:
     """Coherent sum over classical paths: sum of radix * exp(i*phase)."""
-    assignment.check_covers(bare.m, n)
-    radices = path_radices(bare, assignment.paths)
-    return complex(np.sum(radices * np.exp(1j * assignment.phases)))
+    if (assignment.m, assignment.n) != (bare.m, n):
+        raise DimensionMismatch(
+            f"assignment covers {assignment.m}^{assignment.n} paths, not {bare.m}^{n}"
+        )
+    return complex(np.sum(path_radices(bare, n) * np.exp(1j * assignment.phases)))
 
 
 # ---------------------------------------------------------------------------

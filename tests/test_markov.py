@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import qal.grid
 import qal.markov
+import qal.paths
 from memory_guards import Charged, capped_address_space, charge_then_stop, traced_peak
 from qal.core import (
     LOST,
@@ -412,14 +413,28 @@ class TestPropagateDistribution:
 def full_start_path_sum(spec, grid, psi0, assignment):
     """Oracle: the exact path sum walking every label path from every node."""
     table = _image_table(spec, grid, "wrap")
-    radices = np.prod(np.sqrt(spec.noise.probs)[assignment.paths], axis=1)
+    paths = all_paths(assignment.m, assignment.n)
+    radices = np.prod(np.sqrt(spec.noise.probs)[paths], axis=1)
     out = np.zeros(grid.size, dtype=complex)
-    for path, amp in zip(assignment.paths, radices * np.exp(1j * assignment.phases)):
+    for path, amp in zip(paths, radices * np.exp(1j * assignment.phases)):
         cur = np.arange(grid.size)
         for label in path:
             cur = table[label, cur]
         np.add.at(out, cur, amp * psi0)
     return out
+
+
+def per_label_transfer(spec, grid, psi0, steps, theta):
+    """Oracle: the one-step transfer matrix applied label by label."""
+    table = _image_table(spec, grid, "wrap")
+    weights = np.sqrt(spec.noise.probs) * np.exp(1j * theta)
+    psi = np.asarray(psi0, dtype=complex)
+    for _ in range(steps):
+        nxt = np.zeros(grid.size, dtype=complex)
+        for j in range(spec.noise.m):
+            np.add.at(nxt, (table[j],), weights[j] * psi)
+        psi = nxt
+    return psi
 
 
 class TestAmplitudePropagate:
@@ -506,10 +521,25 @@ class TestAmplitudePropagate:
             psi0 = rng.normal(size=grid.size) + 1j * rng.normal(size=grid.size)
             psi0 /= np.linalg.norm(psi0)
         theta = rng.uniform(-np.pi, np.pi, m)
-        lifted = lift_phases(PhaseAssignment(all_paths(m, 1), theta), steps)
+        lifted = lift_phases(PhaseAssignment(m, 1, theta), steps)
         path_sum = amplitude_propagate(spec, grid, psi0, steps, phases=lifted, boundary="wrap")
         transfer = amplitude_propagate(spec, grid, psi0, steps, phases=theta, boundary="wrap")
         assert np.max(np.abs(path_sum - transfer)) <= 1e-12
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_one_scatter_per_step_equals_the_per_label_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        spec = random_game(rng, make_map("linear", slope=float(rng.choice([1.0, -1.0, 2.0]))))
+        grid = integer_grid(int(rng.integers(3, 10)))
+        psi0 = rng.normal(size=grid.size) + 1j * rng.normal(size=grid.size)
+        psi0[rng.random(grid.size) < 0.5] = 0.0  # possibly every node
+        psi0[rng.random(grid.size) < 0.2] = -0.0
+        theta = rng.uniform(-np.pi, np.pi, spec.noise.m)
+        steps = int(rng.integers(0, 7))
+        got = amplitude_propagate(spec, grid, psi0, steps, phases=theta, boundary="wrap")
+        want = per_label_transfer(spec, grid, psi0, steps, theta)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
@@ -517,7 +547,8 @@ class TestAmplitudePropagate:
         rng = np.random.default_rng(seed)
         spec = random_game(rng, make_map("identity"))
         grid = integer_grid(int(rng.integers(3, 10)))
-        steps = int(rng.integers(1, 5))
+        # up to 8 steps, and at most 4^5 paths
+        steps = int(rng.integers(1, {2: 9, 3: 7, 4: 6}[spec.noise.m]))
         psi0 = rng.normal(size=grid.size) + 1j * rng.normal(size=grid.size)
         kind = rng.integers(3)  # point, sparse (possibly empty) or dense start
         if kind == 0:
@@ -526,7 +557,7 @@ class TestAmplitudePropagate:
         elif kind == 1:
             psi0[rng.random(grid.size) < 0.7] = 0.0
         m = spec.noise.m
-        assignment = PhaseAssignment(all_paths(m, steps), rng.uniform(-np.pi, np.pi, m**steps))
+        assignment = PhaseAssignment(m, steps, rng.uniform(-np.pi, np.pi, m**steps))
         path_sum = amplitude_propagate(spec, grid, psi0, steps, phases=assignment, boundary="wrap")
         assert np.array_equal(path_sum, full_start_path_sum(spec, grid, psi0, assignment))
 
@@ -535,22 +566,33 @@ class TestAmplitudePropagate:
         grid = integer_grid(500)
         psi0 = np.zeros(grid.size, dtype=complex)
         psi0[grid.snap_index(0.0)] = 1.0
-        assignment = PhaseAssignment(all_paths(2, 14), np.zeros(2**14))
+        assignment = PhaseAssignment(2, 14, np.zeros(2**14))
         with pytest.raises(SizeGuardExceeded, match="1001×16384 walks > 10000000"):
             amplitude_propagate(walk(), grid, psi0, 14, phases=assignment, boundary="wrap")
 
-    @pytest.mark.parametrize(
-        "rows",
-        [all_paths(2, 3)[:5], -all_paths(2, 3)],
-        ids=["5 of 8 paths", "negated labels"],
-    )
-    def test_refuses_an_assignment_that_is_not_every_path_once(self, rows):
+    @pytest.mark.parametrize("m, n", [(2, 2), (3, 3)])
+    def test_refuses_an_assignment_over_other_labels_or_rounds(self, m, n):
         grid = integer_grid(6)
         psi0 = np.zeros(grid.size, dtype=complex)
         psi0[grid.snap_index(0.0)] = 1.0
-        assignment = PhaseAssignment(rows, np.zeros(len(rows)))
-        with pytest.raises(DimensionMismatch, match="exactly once"):
+        assignment = PhaseAssignment(m, n, np.zeros(m**n))
+        with pytest.raises(DimensionMismatch, match=rf"covers {m}\^{n} paths, not 2\^3"):
             amplitude_propagate(walk(), grid, psi0, 3, phases=assignment, boundary="wrap")
+
+    def test_coherent_pipeline_builds_no_label_rows(self, monkeypatch):
+        # the random-walk game of the coherent benchmark job, 6 steps on 13 wrapped nodes
+        def forbidden(*args):
+            raise AssertionError("an (M^N, N) label array was built")
+
+        monkeypatch.setattr(qal.paths, "all_paths", forbidden)
+        monkeypatch.setattr(qal.markov, "all_paths", forbidden, raising=False)
+        grid = integer_grid(6)
+        psi0 = np.zeros(grid.size, dtype=complex)
+        psi0[grid.snap_index(0.0)] = 1.0
+        constraints = endpoint_constraints(walk(), grid, 0.0, 6, boundary="wrap")
+        assignment, report = solve_phases(constraints, restarts=1, seed=0)
+        psi = amplitude_propagate(walk(), grid, psi0, 6, phases=assignment, boundary="wrap")
+        assert report.feasible and np.all(np.isfinite(psi))
 
 
 class TestEndpointConstraints:
@@ -586,11 +628,25 @@ class TestEndpointConstraints:
 
     def test_largest_one_endpoint_set_is_admitted(self, monkeypatch):
         # all 2^12 paths of a still walk share their endpoint: 72 B x 8.4 M pairs
-        # (0.60 GB) is admitted; the first charge that passes ends the call
-        monkeypatch.setattr(qal.markov, "check_dense_budget", charge_then_stop)
+        # (0.60 GB) is admitted; the pair charge, once it passes, ends the call
+        def stop_at_pairs(rows, cols, bytes_per_entry, what):
+            if what == "phase constraints":
+                assert rows == 2**12 * (2**12 - 1) // 2
+                charge_then_stop(rows, cols, bytes_per_entry, what)
+            qal.grid.check_dense_budget(rows, cols, bytes_per_entry, what)
+
+        monkeypatch.setattr(qal.markov, "check_dense_budget", stop_at_pairs)
         self.forbid_pair_arrays(monkeypatch)
         with pytest.raises(Charged):
             endpoint_constraints(still_walk(), integer_grid(3), 0.0, 12)
+
+    def test_walk_charged_before_walking(self):
+        # 20 B x 2^40 label paths, refused before any end node exists
+        def refuse():
+            with capped_address_space(), pytest.raises(SizeGuardExceeded, match=str(20 * 2**40)):
+                endpoint_constraints(walk(), integer_grid(3), 0.0, 40, boundary="wrap")
+
+        assert traced_peak(refuse) < 1 << 20
 
     def test_refused_from_endpoint_counts(self, monkeypatch):
         # 2^13 paths on one endpoint: 72 B x 33.6 M pairs is 2.4 GB

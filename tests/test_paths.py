@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq, minimize
 
 import qal.grid
+import qal.markov
 import qal.paths
 from memory_guards import Charged, capped_address_space, charge_then_stop, traced_peak
 from qal.core import BareDistribution, CouplingMatrix, QRuleParams, symmetric_coupling
@@ -97,8 +98,15 @@ def add_at_jacobian(cs, phi):
     return j_full
 
 
+def meshgrid_paths(m, n):
+    """Oracle: the M^N label rows, lexicographic, from an N-way meshgrid."""
+    grids = np.meshgrid(*([np.arange(m)] * n), indexing="ij")
+    return np.stack([g.reshape(-1) for g in grids], axis=1)
+
+
 def two_pass_constraints(P, d, paths, pair_i, pair_j):
-    """Oracle: every pair's coupling product, then its radix group in a second pass.
+    """Oracle: gather each pair's label rows, take every pair's coupling product,
+    then its radix group in a second pass.
 
     Rows of the per-round (min, max) label pattern, last round first, sort as
     base-M^2 codes do; each group takes its first pair's target.
@@ -271,6 +279,19 @@ class TestXiSum:
         assert xi_sum(P, d, n) == running[-1]
 
 
+class TestAllPaths:
+    @pytest.mark.parametrize("m, n", [(2, 1), (2, 5), (3, 4), (4, 3), (7, 2), (10, 4)])
+    def test_equals_the_meshgrid_oracle(self, m, n):
+        got = all_paths(m, n)
+        assert got.dtype == np.int64 and got.flags.c_contiguous
+        assert np.array_equal(got, meshgrid_paths(m, n))
+
+    def test_rows_span_chunks(self, monkeypatch):
+        # 3 rows a chunk: 2^5 rows take 11 chunks, the last one partial
+        monkeypatch.setattr(qal.paths, "CHUNK_VALUES", 16)
+        assert np.array_equal(all_paths(2, 5), meshgrid_paths(2, 5))
+
+
 class TestConstraints:
     def test_m2_n1_single_pair(self):
         P = bare([0.5, 0.5])
@@ -278,14 +299,16 @@ class TestConstraints:
         cs = build_constraints(P, d, 1)
         assert len(cs) == 1
         assert cs.targets[0] == pytest.approx(-0.2, abs=1e-12)
-        assert np.flatnonzero(cs.paths[cs.pair_i[0]] != cs.paths[cs.pair_j[0]]).tolist() == [0]
+        rows = all_paths(2, 1)
+        assert np.flatnonzero(rows[cs.pair_i[0]] != rows[cs.pair_j[0]]).tolist() == [0]
 
     def test_m2_n2_pair_count_and_targets(self):
         P = bare([0.5, 0.5])
         d = symmetric_coupling(P, [0.2, 0.2])
         cs = build_constraints(P, d, 2)
         assert len(cs) == 6
-        differ = (cs.paths[cs.pair_i] != cs.paths[cs.pair_j]).sum(axis=1)
+        rows = all_paths(2, 2)
+        differ = (rows[cs.pair_i] != rows[cs.pair_j]).sum(axis=1)
         assert np.allclose(cs.targets, d.d[0, 1] ** differ, rtol=0.0, atol=1e-12)
         assert np.count_nonzero(differ == 2) == 2
 
@@ -308,25 +331,31 @@ class TestConstraints:
         assert np.all(np.abs(cs.targets) <= 1.0 + 1e-12)
         assert cs.infeasible_pairs().size == 0
 
-    @given(st.integers(0, 2**32 - 1), st.sampled_from(["full", "endpoint"]))
-    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["full", "endpoint", "subset"]))
+    @settings(max_examples=60, deadline=None)
     def test_one_pass_matches_two_pass_oracle(self, seed, kind):
         rng = np.random.default_rng(seed)
-        if kind == "full":
-            P, _, d, n = random_symmetric_instance(rng, m_max=4, n_max=3)
-            cs = build_constraints(P, d, n)
-        else:
+        if kind == "endpoint":
             spec, grid, n = random_walk_game(rng)
             cs = endpoint_constraints(spec, grid, 0.0, n, boundary="wrap")
             P, d = spec.noise, symmetric_coupling(spec.noise, spec.rules.loss_rates)
+        elif kind == "full":
+            P, _, d, n = random_symmetric_instance(rng, m_max=4, n_max=3)
+            cs = build_constraints(P, d, n)
+        else:
+            # up to 300 arbitrary pairs of the 5^6 paths at most, in any order
+            P, _, d, n = random_symmetric_instance(rng, m_max=5, n_max=6)
+            pairs = rng.integers(0, P.m**n, size=(2, int(rng.integers(0, 301))))
+            cs = constraints_for_pairs(P, d, n, *pairs)
         inverse, sizes, group_targets, targets = two_pass_constraints(
-            P, d, cs.paths, cs.pair_i, cs.pair_j
+            P, d, meshgrid_paths(P.m, n), cs.pair_i, cs.pair_j
         )
         # 1 to 7 pairs a chunk, the last one partial whenever the count allows
         small = n * int(rng.integers(1, 8)) + int(rng.integers(0, n))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(qal.paths, "CHUNK_VALUES", small)
-            chunked = constraints_for_pairs(P, d, cs.paths, cs.pair_i, cs.pair_j)
+            chunked = constraints_for_pairs(P, d, n, cs.pair_i, cs.pair_j)
+        assert (cs.m, cs.n) == (chunked.m, chunked.n) == (P.m, n)
         for got in (cs, chunked):
             assert np.array_equal(got.group_inverse, inverse)
             assert np.array_equal(got.group_sizes, sizes)
@@ -335,6 +364,13 @@ class TestConstraints:
             assert np.array_equal(
                 got.infeasible_pairs(), np.flatnonzero(np.abs(targets) > 1.0 + 1e-12)
             )
+
+    @pytest.mark.parametrize("index", [-1, 8])
+    def test_refuses_a_path_index_out_of_range(self, index):
+        P = bare([0.5, 0.5])
+        d = symmetric_coupling(P, [0.2, 0.2])
+        with pytest.raises(ValueError, match="out of bounds"):
+            constraints_for_pairs(P, d, 3, [0, 1], [2, index])
 
     def test_size_guard(self):
         # 9^4 paths make 21.5 M pairs (1.55 GB), admitted; 9^5 make 1.7 G pairs
@@ -359,7 +395,11 @@ BYTE_GUARDED = {
         lambda m, n: (17 * n + 40) * merged_terms(m, n),
     ),
     "xi_sum": (lambda m, n: xi_sum(*zero_coupling(m), n), lambda m, n: 16 * merged_terms(m, n)),
-    "all_paths": (all_paths, lambda m, n: 24 * m**n * n),
+    "all_paths": (all_paths, lambda m, n: 9 * m**n * (n + 1)),
+    "lift_phases": (
+        lambda m, n: lift_phases(PhaseAssignment(m, 1, np.zeros(m)), n),
+        lambda m, n: 16 * m**n * (n + 1),
+    ),
     "build_constraints": (
         lambda m, n: build_constraints(*zero_coupling(m), n),
         lambda m, n: 72 * (m**n * (m**n - 1) // 2),
@@ -373,10 +413,11 @@ class TestByteGuards:
         [
             # the largest M=2 input of each builder, then inputs the count
             # guards admitted: each must stay admitted
-            ("expand_paths", 2, 14), ("xi_sum", 2, 17), ("all_paths", 2, 21),
-            ("build_constraints", 2, 12), ("build_constraints", 3, 8),
+            ("expand_paths", 2, 14), ("xi_sum", 2, 17), ("all_paths", 2, 23),
+            ("lift_phases", 2, 22), ("build_constraints", 2, 12), ("build_constraints", 3, 8),
             ("expand_paths", 2, 11), ("expand_paths", 3162, 1), ("expand_paths", 10, 4),
-            ("xi_sum", 2, 14), ("all_paths", 2, 12), ("build_constraints", 9, 4),
+            ("xi_sum", 2, 14), ("all_paths", 2, 12), ("all_paths", 2, 21),
+            ("build_constraints", 9, 4),
         ],
     )
     def test_admitted(self, monkeypatch, name, m, n):
@@ -389,8 +430,8 @@ class TestByteGuards:
     @pytest.mark.parametrize(
         "name, m, n",
         [
-            ("expand_paths", 2, 15), ("xi_sum", 2, 18), ("all_paths", 2, 22),
-            ("build_constraints", 2, 13), ("build_constraints", 3, 9),
+            ("expand_paths", 2, 15), ("xi_sum", 2, 18), ("all_paths", 2, 24),
+            ("lift_phases", 2, 23), ("build_constraints", 2, 13), ("build_constraints", 3, 9),
         ],
     )
     def test_refused_naming_the_bytes_before_allocating(self, name, m, n):
@@ -407,7 +448,7 @@ class TestByteGuards:
         "name, m, n",
         [
             ("expand_paths", 2, 5), ("xi_sum", 2, 6), ("all_paths", 2, 5),
-            ("build_constraints", 2, 4), ("build_constraints", 3, 3),
+            ("lift_phases", 2, 5), ("build_constraints", 2, 4), ("build_constraints", 3, 3),
         ],
     )
     def test_edge_at_a_lowered_budget(self, monkeypatch, name, m, n):
@@ -490,7 +531,7 @@ class TestSolvePhases:
         d = symmetric_coupling(P, [0.2, 0.2])
         cs = build_constraints(P, d, 2)
         assignment, _ = solve_phases(cs, seed=6)
-        rows = [tuple(row) for row in assignment.paths.tolist()]
+        rows = [tuple(row) for row in all_paths(2, 2).tolist()]
         assert assignment.phases[rows.index((0, 0))] == 0.0
         assert assignment.phases[rows.index((0, 1))] == assignment.phases[1]
 
@@ -504,9 +545,7 @@ class TestGroupJacobian:
         full = build_constraints(P, d, n)
         # an endpoint-style subset: arbitrary pairs, some groups left out
         keep = rng.random(len(full)) < 0.5
-        subset = constraints_for_pairs(
-            P, d, full.paths, full.pair_i[keep], full.pair_j[keep]
-        )
+        subset = constraints_for_pairs(P, d, n, full.pair_i[keep], full.pair_j[keep])
         phi = rng.uniform(-np.pi, np.pi, full.n_paths)
         for cs in (full, subset):
             got = qal.paths._group_jacobian(cs, phi)
@@ -586,7 +625,7 @@ class TestStartScoring:
         # one round: every pair is its own group
         ones = np.ones(pair_i.size, dtype=np.int64)
         cs = qal.paths.ConstraintSet(
-            all_paths(m, 1), pair_i, pair_j, np.arange(pair_i.size), ones, np.array(targets)
+            m, 1, pair_i, pair_j, np.arange(pair_i.size), ones, np.array(targets)
         )
         _, report = solve_phases(cs, seed=3, restarts=2)
         assert report.converged == (best_start is not None)
@@ -662,6 +701,11 @@ class TestSingleRound:
         _, oracle = solve_phases(cs, restarts=1, seed=seed % 1000)
         assert oracle.max_residual >= floor - 1e-12
 
+    def test_lift_refuses_phases_over_several_rounds(self):
+        # 4 phases over 2 rounds are not the phases of 4 labels
+        with pytest.raises(DimensionMismatch, match="one round, not 2"):
+            lift_phases(PhaseAssignment(2, 2, np.zeros(4)), 3)
+
     def test_four_labels_take_the_largest_triangle_bound(self):
         P = bare([0.1, 0.2, 0.3, 0.4])
         d = symmetric_coupling(P, [0.1, 0.2, 0.1, 0.3])
@@ -683,7 +727,7 @@ class TestSingleRound:
         P, _, d, n = random_symmetric_instance(rng, m_max=4, n_max=2)
         full = build_constraints(P, d, n)
         keep = rng.random(len(full)) < 0.5
-        subset = constraints_for_pairs(P, d, full.paths, full.pair_i[keep], full.pair_j[keep])
+        subset = constraints_for_pairs(P, d, n, full.pair_i[keep], full.pair_j[keep])
         reports = [
             single_round_phases(P, d, seed=seed % 1000)[1],
             solve_phases(full, restarts=1, seed=seed % 1000)[1],
@@ -758,35 +802,23 @@ class TestMinimaxSolver:
 class TestAmplitudeSum:
     def test_zero_phases(self):
         P = bare([0.5, 0.5])
-        paths = all_paths(2, 1)
-        amp = amplitude_sum(P, PhaseAssignment(paths, np.zeros(2)), 1)
+        amp = amplitude_sum(P, PhaseAssignment(2, 1, np.zeros(2)), 1)
         assert abs(amp) ** 2 == pytest.approx(2.0, abs=1e-12)
 
     def test_solved_phase_matches_xi(self):
         P = bare([0.5, 0.5])
-        paths = all_paths(2, 1)
         phi = np.array([0.0, ARCCOS_MINUS_02])
-        amp = amplitude_sum(P, PhaseAssignment(paths, phi), 1)
+        amp = amplitude_sum(P, PhaseAssignment(2, 1, phi), 1)
         assert abs(amp) ** 2 == pytest.approx(0.8, abs=1e-9)
 
-    @pytest.mark.parametrize(
-        "rows",
-        [
-            [[0, 0], [0, 1], [0, 1], [1, 1]],  # right count, one path twice
-            [[0, 0], [0, 1], [1, 0]],  # a path missing
-            [[0, 0], [0, 1], [1, 0], [1, -1]],  # label -1 would index the last label
-            [[0, 0], [0, 1], [1, 0], [1, 2]],  # label past M - 1
-        ],
-    )
-    def test_refuses_rows_that_are_not_every_path_once(self, rows):
-        P = bare([0.5, 0.5])
-        rows = np.array(rows)
-        with pytest.raises(DimensionMismatch, match="exactly once"):
-            amplitude_sum(P, PhaseAssignment(rows, np.zeros(len(rows))), 2)
-
     def test_refuses_an_assignment_over_other_rounds(self):
-        with pytest.raises(DimensionMismatch, match="covers 3 rounds, not 2"):
-            amplitude_sum(bare([0.5, 0.5]), PhaseAssignment(all_paths(2, 3), np.zeros(8)), 2)
+        with pytest.raises(DimensionMismatch, match=r"covers 2\^3 paths, not 2\^2"):
+            amplitude_sum(bare([0.5, 0.5]), PhaseAssignment(2, 3, np.zeros(8)), 2)
+
+    @pytest.mark.parametrize("count", [3, 5, 8])
+    def test_an_assignment_needs_one_phase_per_path(self, count):
+        with pytest.raises(DimensionMismatch, match="one phase per path"):
+            PhaseAssignment(2, 2, np.zeros(count))
 
 
 class TestIdentityCheck:
@@ -874,5 +906,22 @@ class TestIdentityCheck:
 
     def test_radices_cover_classical_mass(self):
         P = bare([0.5, 0.3, 0.2])
-        paths = all_paths(3, 2)
-        assert np.sum(path_radices(P, paths) ** 2) == pytest.approx(1.0, abs=1e-12)
+        assert np.sum(path_radices(P, 2) ** 2) == pytest.approx(1.0, abs=1e-12)
+
+    @given(st.integers(2, 5), st.integers(1, 6), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_radices_equal_the_row_product(self, m, n, seed):
+        P = bare(np.random.default_rng(seed).dirichlet(np.ones(m)))
+        want = np.sqrt(np.prod(P.probs[meshgrid_paths(m, n)], axis=1))
+        assert np.array_equal(path_radices(P, n).view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_runs_without_label_rows(self, monkeypatch, m):
+        def forbidden(*args):
+            raise AssertionError("an (M^N, N) label array was built")
+
+        monkeypatch.setattr(qal.paths, "all_paths", forbidden)
+        monkeypatch.setattr(qal.markov, "all_paths", forbidden, raising=False)
+        probs = np.arange(1.0, m + 1.0)
+        rep = identity_check(bare(probs / probs.sum()), np.linspace(0.1, 0.3, m), 9)
+        assert rep.feasible and rep.gap <= rep.bound
