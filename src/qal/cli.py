@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import sys
 from collections.abc import Callable, Iterable
@@ -391,10 +392,15 @@ def _run_histogram(config: ExperimentConfig):
 
 
 def _run_census(config: ExperimentConfig):
-    report = paths.census(config.params["m"], config.params["n"])
+    m, n = config.params["m"], config.params["n"]
+    digits, limit = int(2 * n * math.log10(m)) + 1, sys.get_int_max_str_digits()
+    if limit and digits > limit:  # of the raw total M^(2N), the largest count written
+        raise ValueError(f"raw total {m}^{2 * n} has {digits} decimal digits, "
+                         f"over Python's limit of {limit} for integer strings")
+    report = paths.census(m, n)
     rows = [
         [l, report.raw_per_l[l], report.reduced_per_l[l]]
-        for l in range(config.params["n"] + 1)
+        for l in range(n + 1)
     ]
     meta = {
         "raw-total": report.raw_total,

@@ -18,7 +18,7 @@ class ChannelInfeasible(QalError, ValueError):
 
 
 class SizeGuardExceeded(QalError, ValueError):
-    """A build would exceed the byte budget, or the exact path sum its work bound."""
+    """A build or walk would exceed the byte budget."""
 
 
 class OffGridImage(QalError, ValueError):

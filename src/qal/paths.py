@@ -272,12 +272,15 @@ def constraints_for_pairs(
     Used directly by the game module, where only paths sharing an endpoint
     are constrained against each other.  One pass over the pairs, in chunks
     of ``CHUNK_VALUES`` labels read off the indices, codes each pair's
-    per-round unordered label pattern; every group's target is its first
-    pair's coupling product.
+    per-round unordered label pattern as an int64 in base M^2 (M^(2N) above
+    2^64 is refused); a pass over the groups in the same chunks takes each
+    group's target, its first pair's coupling product.
     """
     if coupling.m != bare.m:
         raise DimensionMismatch("coupling size does not match the distribution")
     m = bare.m
+    if n > 32 or m ** (2 * n) > 1 << 64:  # M^(2N) >= 4^N
+        raise ValueError(f"M={m}, N={n}: M^(2N) label patterns of a pair exceed 2^64 radix codes")
     pair_i = np.asarray(pair_i, dtype=np.int64)
     pair_j = np.asarray(pair_j, dtype=np.int64)
     if pair_i.size != pair_j.size:
@@ -294,8 +297,10 @@ def constraints_for_pairs(
     _, first, inverse, sizes = np.unique(
         codes, return_index=True, return_inverse=True, return_counts=True
     )
-    a, b = _labels_of(pair_i[first], m, n), _labels_of(pair_j[first], m, n)
-    targets = np.where(a == b, 1.0, coupling.d[a, b]).prod(axis=1)
+    targets = np.empty(first.size)
+    for lo in range(0, first.size, rows):
+        a, b = (_labels_of(p[first[lo : lo + rows]], m, n) for p in (pair_i, pair_j))
+        targets[lo : lo + rows] = np.where(a == b, 1.0, coupling.d[a, b]).prod(axis=1)
     return ConstraintSet(m, n, pair_i, pair_j, inverse, sizes, targets)
 
 

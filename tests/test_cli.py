@@ -117,6 +117,28 @@ class TestCommands:
         assert header == ["l", "raw", "reduced"]
         assert [[int(v) for v in row] for row in rows] == [[0, 4, 4], [1, 8, 4], [2, 4, 1]]
 
+    @pytest.mark.parametrize("n", [1074, 1075])
+    def test_census_refuses_a_total_past_the_int_string_limit(self, tmp_path, capsys, n):
+        # 100^(2N) has 4N + 1 digits: 4297 are written, 4301 refused at once at
+        # Python's default limit of 4300, not after the counts are built
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            rc = run_in(tmp_path, ["census", "--m", "100", "--n", str(n), "--out", "c.csv"])
+            if n == 1074:
+                assert rc == 0
+                metadata, _, rows = read_csv(tmp_path / "c.csv")
+                assert int(metadata["raw-total"]) == 100**2148 and len(rows) == 1075
+                return
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert rc == 1
+        assert capsys.readouterr().err.strip() == (
+            "qal census: raw total 100^2150 has 4301 decimal digits, "
+            "over Python's limit of 4300 for integer strings"
+        )
+        assert not (tmp_path / "c.csv").exists()
+
     def test_identity_check_example(self, tmp_path):
         rc = run_in(
             tmp_path,

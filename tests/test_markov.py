@@ -25,6 +25,7 @@ from qal.markov import (
     _BLOCK,
     GameSpec,
     _image_table,
+    _path_ends,
     _simulate_block,
     amplitude_propagate,
     effective_kernel,
@@ -46,6 +47,16 @@ def still_walk():
     return GameSpec(
         drift=make_map("identity"),
         gain=make_map("constant", value=0.0),
+        noise=walk().noise,
+        rules=walk().rules,
+    )
+
+
+def triple_walk():
+    """x -> 3x +- 1 with 20% loss: distinct label paths end on distinct nodes until a grid wraps."""
+    return GameSpec(
+        drift=make_map("linear", slope=3.0),
+        gain=make_map("constant", value=1.0),
         noise=walk().noise,
         rules=walk().rules,
     )
@@ -424,6 +435,12 @@ def full_start_path_sum(spec, grid, psi0, assignment):
     return out
 
 
+def path_sum(grid, psi0, steps):
+    """The exact path sum of the +-1 walk at zero phases."""
+    assignment = PhaseAssignment(2, steps, np.zeros(2**steps))
+    return amplitude_propagate(walk(), grid, psi0, steps, phases=assignment, boundary="wrap")
+
+
 def per_label_transfer(spec, grid, psi0, steps, theta):
     """Oracle: the one-step transfer matrix applied label by label."""
     table = _image_table(spec, grid, "wrap")
@@ -561,14 +578,54 @@ class TestAmplitudePropagate:
         path_sum = amplitude_propagate(spec, grid, psi0, steps, phases=assignment, boundary="wrap")
         assert np.array_equal(path_sum, full_start_path_sum(spec, grid, psi0, assignment))
 
-    def test_path_sum_refusal_names_its_size(self):
-        # 1001 nodes x 2^14 paths: 16.4 M node-path walks, over the 10^7 bound
+    def test_point_start_on_1001_nodes_is_summed(self):
+        # 1001 nodes x 2^14 paths, 16.4 M node-path walks, were once refused; the
+        # point start's walk holds 2^14 cells, charged 24 B x 2^14 x 2
         grid = integer_grid(500)
         psi0 = np.zeros(grid.size, dtype=complex)
         psi0[grid.snap_index(0.0)] = 1.0
-        assignment = PhaseAssignment(2, 14, np.zeros(2**14))
-        with pytest.raises(SizeGuardExceeded, match="1001×16384 walks > 10000000"):
-            amplitude_propagate(walk(), grid, psi0, 14, phases=assignment, boundary="wrap")
+        phases = np.random.default_rng(14).uniform(-np.pi, np.pi, 2**14)
+        assignment = PhaseAssignment(2, 14, phases)
+        path_sum = amplitude_propagate(walk(), grid, psi0, 14, phases=assignment, boundary="wrap")
+        assert np.array_equal(path_sum, full_start_path_sum(walk(), grid, psi0, assignment))
+
+    @pytest.mark.parametrize("k, steps", [(1364, 16), (1220, 13), (1001, 14), (40, 20)])
+    def test_path_sum_admitted(self, monkeypatch, k, steps):
+        # the dense edge 24 B x 2^16 x 1365 (2.15 GB), then the dense edge of the
+        # old 10^7 walk bound and inputs past it: each is charged and admitted
+        grid = StateGrid.from_range(0, k - 1, k)
+        monkeypatch.setattr(qal.markov, "check_dense_budget", charge_then_stop)
+        with pytest.raises(Charged):
+            path_sum(grid, np.ones(k, dtype=complex), steps)
+
+    def test_path_sum_refused_before_any_term(self):
+        # one node more than the dense edge: 24 B x 2^16 x 1366 is over 2 GiB
+        grid = StateGrid.from_range(0, 1364, 1365)
+        psi0 = np.ones(grid.size, dtype=complex)
+        assignment = PhaseAssignment(2, 16, np.zeros(2**16))
+
+        def refuse():
+            need = str(24 * 2**16 * 1366)
+            with capped_address_space(), pytest.raises(SizeGuardExceeded, match=need):
+                amplitude_propagate(walk(), grid, psi0, 16, phases=assignment, boundary="wrap")
+
+        assert traced_peak(refuse) < 1 << 20
+
+    @pytest.mark.parametrize("support", [0, 1, 3])
+    def test_path_sum_edge_at_a_lowered_budget(self, monkeypatch, support):
+        # with the budget at the charge of 6 steps, 6 are summed and 7 refused;
+        # an all-zero start is still charged its extra column
+        grid = integer_grid(6)
+        psi0 = np.zeros(grid.size, dtype=complex)
+        psi0[:support] = 1.0
+
+        def charge(steps):
+            return 24 * 2**steps * (support + 1)
+
+        monkeypatch.setattr(qal.grid, "KERNEL_BYTE_BUDGET", charge(6))
+        assert np.any(path_sum(grid, psi0, 6)) == (support > 0)
+        with pytest.raises(SizeGuardExceeded, match=str(charge(7))):
+            path_sum(grid, psi0, 7)
 
     @pytest.mark.parametrize("m, n", [(2, 2), (3, 3)])
     def test_refuses_an_assignment_over_other_labels_or_rounds(self, m, n):
@@ -619,12 +676,35 @@ class TestEndpointConstraints:
         constraints = endpoint_constraints(spec, grid, 0.0, steps, boundary="wrap")
         assert list(zip(constraints.pair_i.tolist(), constraints.pair_j.tolist())) == expected
 
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_pairs_equal_the_per_node_scan(self, seed):
+        # from every endpoint distinct (few steps, wide grid) to many paths a node
+        rng = np.random.default_rng(seed)
+        spec = triple_walk()
+        extent = int(rng.integers(1, 4000))
+        grid = integer_grid(extent)
+        steps = int(rng.integers(1, 13))
+        x0 = float(rng.integers(-extent, extent + 1))
+        ends = _path_ends(_image_table(spec, grid, "wrap"), np.array([grid.snap_index(x0)]), steps)
+        pair_i, pair_j = per_node_pairs(ends.ravel())
+        constraints = endpoint_constraints(spec, grid, x0, steps, boundary="wrap")
+        assert np.array_equal(constraints.pair_i, pair_i)
+        assert np.array_equal(constraints.pair_j, pair_j)
+
+    def test_all_distinct_endpoints_give_no_pairs(self):
+        # 10 steps of x -> 3x +- 1 from 0 end within +-(3^10 - 1)/2, all apart
+        grid = integer_grid(3**10)
+        constraints = endpoint_constraints(triple_walk(), grid, 0.0, 10, boundary="wrap")
+        assert len(constraints) == constraints.n_groups == 0
+
     @staticmethod
     def forbid_pair_arrays(monkeypatch):
+        # endpoint_constraints calls np.repeat only past its pair charge, to lay out the pairs
         def forbidden(*args, **kwargs):
             raise AssertionError("a pair array was built")
 
-        monkeypatch.setattr(np, "triu_indices", forbidden)
+        monkeypatch.setattr(np, "repeat", forbidden)
 
     def test_largest_one_endpoint_set_is_admitted(self, monkeypatch):
         # all 2^12 paths of a still walk share their endpoint: 72 B x 8.4 M pairs
@@ -641,9 +721,9 @@ class TestEndpointConstraints:
             endpoint_constraints(still_walk(), integer_grid(3), 0.0, 12)
 
     def test_walk_charged_before_walking(self):
-        # 20 B x 2^40 label paths, refused before any end node exists
+        # 48 B x 2^40 label paths, refused before any end node exists
         def refuse():
-            with capped_address_space(), pytest.raises(SizeGuardExceeded, match=str(20 * 2**40)):
+            with capped_address_space(), pytest.raises(SizeGuardExceeded, match=str(48 * 2**40)):
                 endpoint_constraints(walk(), integer_grid(3), 0.0, 40, boundary="wrap")
 
         assert traced_peak(refuse) < 1 << 20
@@ -670,6 +750,13 @@ class TestEndpointConstraints:
                 endpoint_constraints(still_walk(), integer_grid(3), 0.0, steps)
 
         assert traced_peak(refuse) < 1 << 20
+
+
+def per_node_pairs(ends):
+    """Oracle: each node's paths found by a scan of all end nodes, paired lexicographically."""
+    groups = (np.flatnonzero(ends == node) for node in np.unique(ends))
+    pairs = [g[np.array(np.triu_indices(g.size, k=1))] for g in groups]
+    return np.concatenate(pairs, axis=1)
 
 
 def dense_joint_density(spec, grid, x0, steps):

@@ -372,6 +372,21 @@ class TestConstraints:
         with pytest.raises(ValueError, match="out of bounds"):
             constraints_for_pairs(P, d, 3, [0, 1], [2, index])
 
+    @pytest.mark.parametrize("n", [32, 33])
+    def test_radix_codes_refuse_patterns_past_2_to_the_64(self, n):
+        # (0, 3) differs in the last two rounds and (0, 2) in the last one: two
+        # groups while the M^(2N) patterns fit 2^64 codes; past that they would
+        # share a wrapped code, so N=33 is refused before anything is built
+        P = bare([0.5, 0.5])
+        d = symmetric_coupling(P, [0.2, 0.2])
+        if n == 32:
+            cs = constraints_for_pairs(P, d, n, [0, 0], [3, 2])
+            assert cs.n_groups == 2
+            assert cs.targets == pytest.approx([0.04, -0.2], abs=1e-12)
+            return
+        with pytest.raises(ValueError, match="M=2, N=33"):
+            constraints_for_pairs(P, d, n, [0, 0], [3, 2])
+
     def test_size_guard(self):
         # 9^4 paths make 21.5 M pairs (1.55 GB), admitted; 9^5 make 1.7 G pairs
         P = bare(np.full(9, 1.0 / 9.0))
