@@ -45,7 +45,7 @@ for block in range(6):
 
 print("\n== reference solver agreement ==")
 ref = reference_solver(WaveState.gaussian(grid, sigma=1.0), params, 1.0)
-# the drift itself is round-off and varies with the BLAS thread count; its bound does not
+# the drift itself is the round-off of the expansion's FFTs, so only its bound is printed
 drift = "below" if abs(ref.norm() - 1.0) < 1e-13 else "ABOVE"
 print(f"  reference width at t=1: {ref.sigma_x():.9f} (norm drift {drift} 1e-13)")
 

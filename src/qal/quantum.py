@@ -37,7 +37,6 @@ __all__ = [
     "WaveState",
     "KernelMatrix",
     "PropagationResult",
-    "PathCheckReport",
     "RoughnessPoint",
     "RoughnessReport",
     "ConvergencePoint",
@@ -46,9 +45,7 @@ __all__ = [
     "propagate",
     "reference_solver",
     "momentum_transform",
-    "inverse_momentum_transform",
     "uncertainty_product",
-    "classical_path_check",
     "roughness_scan",
     "convergence_study",
     "apodization_study",
@@ -92,12 +89,6 @@ class ParticleParams:
         if self.potential == "free":
             return np.zeros(grid.size)
         return 0.5 * self.mass * self.omega**2 * grid.nodes**2
-
-    def potential_gradient(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if self.potential == "free":
-            return np.zeros_like(x)
-        return self.mass * self.omega**2 * x
 
     def apodization_factor(self, y: np.ndarray) -> np.ndarray:
         """Square root of the bare-noise weight at scaled energy offset y."""
@@ -269,6 +260,42 @@ def propagate(
     return PropagationResult(state=raw.normalized(), accumulated_norm=norm, steps=steps)
 
 
+#: largest sum of the dropped Chebyshev coefficients' moduli; each T_k(H~) has
+#: operator norm at most 1, so it bounds the truncation error per unit norm
+CHEBYSHEV_TAIL = 1e-16
+
+
+def _chebyshev_terms(tau: float) -> int:
+    """Fewest terms n > tau with 2 sum_{k>n} |J_k(tau)| <= CHEBYSHEV_TAIL.
+
+    Kapteyn's bound |J_k(k z)| <= (z e^s / (1 + s))^k, s = sqrt(1 - z^2), grows
+    with z, so every k > n is bounded by r^k at z = tau / (n + 1), and the tail
+    by the geometric sum 2 r^(n+1) / (1 - r).
+    """
+    n = int(tau) + 1
+    while True:
+        z = tau / (n + 1)
+        s = math.sqrt(1.0 - z * z)
+        r = z * math.exp(s) / (1.0 + s)
+        if r < 1.0 and 2.0 * r ** (n + 1) / (1.0 - r) <= CHEBYSHEV_TAIL:
+            return n
+        n += 1
+
+
+def _chebyshev_coefficients(tau: float, n: int) -> np.ndarray:
+    """c_k = (2 - delta_k0) (-i)^k J_k(tau), k <= n: exp(-i tau x) = sum c_k T_k(x).
+
+    They are the Fourier coefficients of exp(-i tau cos theta) (Jacobi-Anger),
+    taken by an FFT of 2n + 128 samples; aliasing adds only J_j with
+    j >= n + 128, inside the truncation bound.
+    """
+    size = 2 * n + 128
+    samples = np.exp(-1j * tau * np.cos(2.0 * np.pi * np.arange(size) / size))
+    coeffs = np.fft.fft(samples)[: n + 1] / size
+    coeffs[1:] *= 2.0
+    return coeffs
+
+
 def reference_solver(
     psi0: WaveState,
     params: ParticleParams,
@@ -277,23 +304,45 @@ def reference_solver(
     """Exact evolution exp(-iHt/alpha) under the kernel's own grid Hamiltonian.
 
     H = F^-1 diag(alpha^2 k^2 / 2m) F + diag(V) is the real symmetric operator
-    whose Trotter splitting :func:`build_kernel` implements; one ``eigh``
-    diagonalizes it, so the result is exact to round-off at any total time.
-    Costs O(K^3) time.
+    whose Trotter splitting :func:`build_kernel` implements.  Its spectrum lies
+    in [min V, max kinetic + max V]; with H~ = (H - mid) / half mapped onto
+    [-1, 1], exp(-iHt/alpha) = exp(-i mid t / alpha) sum_k c_k T_k(H~), the
+    Chebyshev propagator of Tal-Ezer and Kosloff (J. Chem. Phys. 81, 3967,
+    1984).  Each term is one FFT pair through the kinetic symbol plus the
+    diagonal potential, and the series stops where its dropped coefficients
+    are certified below :data:`CHEBYSHEV_TAIL`, so the result is exact to
+    round-off at any total time.  Costs O(n K log K) time with n ~ tau =
+    half t / alpha terms, and O(K) memory.
     """
     if total_time <= 0:
         raise ValueError("total time must be positive")
     grid = psi0.grid
-    size = grid.size
-    # peak, while eigh holds H, its LAPACK copy and workspace and the modes:
-    # 45 and 41 B per entry of resident memory at K=801 and 2001
-    check_dense_budget(size, size, 48, "reference Hamiltonian")
     kinetic = (params.alpha * grid.wavenumbers()) ** 2 / (2.0 * params.mass)
-    hamiltonian = _dense_entries(np.fft.ifft(kinetic).real, np.ones(size))
-    hamiltonian.flat[:: size + 1] += params.potential_values(grid)
-    energies, modes = np.linalg.eigh(hamiltonian)
-    rotation = np.exp(-1j * energies * total_time / params.alpha)
-    return WaveState(grid, modes @ (rotation * (modes.T @ psi0.values)))
+    v = params.potential_values(grid)
+    low, high = float(np.min(v)), float(np.max(kinetic) + np.max(v))
+    mid, half = 0.5 * (high + low), 0.5 * (high - low)
+    tau = half * total_time / params.alpha
+    n = _chebyshev_terms(tau)
+    # every term computes one complex vector
+    check_dense_budget(n + 1, grid.size, 16, "reference expansion")
+    coeffs = _chebyshev_coefficients(tau, n)
+    # 2 H~ = F^-1 diag(symbol) F + diag(shifted)
+    symbol = kinetic * (2.0 / half)
+    shifted = (v - mid) * (2.0 / half)
+
+    def twice_scaled(values: np.ndarray) -> np.ndarray:
+        out = np.fft.ifft(symbol * np.fft.fft(values))
+        out += shifted * values
+        return out
+
+    prev, cur = psi0.values, 0.5 * twice_scaled(psi0.values)
+    total = coeffs[0] * prev + coeffs[1] * cur
+    for c in coeffs[2:]:
+        nxt = twice_scaled(cur)
+        nxt -= prev
+        prev, cur = cur, nxt
+        total += c * cur
+    return WaveState(grid, np.exp(-1j * mid * total_time / params.alpha) * total)
 
 
 # ---------------------------------------------------------------------------
@@ -317,17 +366,6 @@ def momentum_transform(psi: WaveState, alpha: float) -> tuple[np.ndarray, np.nda
     return p[order], phi[order]
 
 
-def inverse_momentum_transform(
-    p: np.ndarray, phi: np.ndarray, grid: StateGrid, alpha: float
-) -> np.ndarray:
-    """Inverse of :func:`momentum_transform`; composes to the identity."""
-    k = grid.wavenumbers()
-    order = np.argsort(alpha * k, kind="stable")
-    f = np.empty(grid.size, dtype=complex)
-    f[order] = phi * np.sqrt(2.0 * np.pi * alpha) / grid.dx * np.exp(1j * k[order] * grid.x0)
-    return np.fft.ifft(f)
-
-
 def uncertainty_product(psi: WaveState, alpha: float) -> float:
     """Position-spread times momentum-spread from second moments."""
     sigma_x = psi.sigma_x()
@@ -343,106 +381,6 @@ def uncertainty_product(psi: WaveState, alpha: float) -> float:
 def free_gaussian_width(sigma0: float, t: float, mass: float, alpha: float) -> float:
     """Analytic spreading oracle: sigma(t) = sigma0 sqrt(1 + (alpha t / (2 m sigma0^2))^2)."""
     return sigma0 * np.sqrt(1.0 + (alpha * t / (2.0 * mass * sigma0**2)) ** 2)
-
-
-# ---------------------------------------------------------------------------
-# discrete classical paths
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class PathCheckReport:
-    """Stationary discrete path and the residuals of its stationarity system."""
-
-    potential: str
-    eps: float
-    path: np.ndarray
-    momenta: np.ndarray
-    force_residual: float
-    gradient_residual: float
-    action: float
-    perturbation_ratio: float
-
-
-def _phase_space_action(
-    params: ParticleParams, xs: np.ndarray, ps: np.ndarray
-) -> float:
-    eps = params.eps
-    v = 0.5 * params.mass * params.omega**2 * xs[:-1] ** 2 if params.potential == "harmonic" else np.zeros(xs.size - 1)
-    terms = ps * (xs[1:] - xs[:-1]) - eps * (ps**2 / (2.0 * params.mass) + v)
-    return float(np.sum(terms))
-
-
-def classical_path_check(
-    params: ParticleParams,
-    x_start: float,
-    x_end: float,
-    n_steps: int,
-) -> PathCheckReport:
-    """Solve the fixed-endpoint stationarity system and verify it numerically.
-
-    The discrete phase-space action is stationary when the momentum equals
-    the discrete velocity and the momentum increment balances the force.
-    """
-    if n_steps < 2:
-        raise ValueError("need at least two steps")
-    eps = params.eps
-    n = n_steps
-    if params.potential == "free":
-        xs = np.linspace(x_start, x_end, n + 1)
-    else:
-        # interior stationarity: x_{n+1} - (2 - eps^2 w^2) x_n + x_{n-1} = 0
-        coeff = 2.0 - (eps * params.omega) ** 2
-        a = np.zeros((n - 1, n - 1))
-        np.fill_diagonal(a, -coeff)
-        idx = np.arange(n - 2)
-        a[idx, idx + 1] = 1.0
-        a[idx + 1, idx] = 1.0
-        rhs = np.zeros(n - 1)
-        rhs[0] -= x_start
-        rhs[-1] -= x_end
-        interior = np.linalg.solve(a, rhs)
-        xs = np.concatenate(([x_start], interior, [x_end]))
-    ps = params.mass * (xs[1:] - xs[:-1]) / eps
-    force = params.potential_gradient(xs[1:-1])
-    force_residual = float(np.max(np.abs((ps[1:] - ps[:-1]) / eps + force)))
-
-    action = _phase_space_action(params, xs, ps)
-    # numerical stationarity: central differences over every free variable
-    h = 1e-6 * max(1.0, float(np.max(np.abs(xs))))
-    grads = []
-    for i in range(1, n):
-        bumped = xs.copy()
-        bumped[i] += h
-        plus = _phase_space_action(params, bumped, ps)
-        bumped[i] -= 2 * h
-        minus = _phase_space_action(params, bumped, ps)
-        grads.append((plus - minus) / (2 * h))
-    for i in range(n):
-        bumped = ps.copy()
-        bumped[i] += h
-        plus = _phase_space_action(params, xs, bumped)
-        bumped[i] -= 2 * h
-        minus = _phase_space_action(params, xs, bumped)
-        grads.append((plus - minus) / (2 * h))
-    gradient_residual = float(np.max(np.abs(grads)))
-
-    # perturbing the path must raise the action deviation quadratically
-    bump = np.sin(np.pi * np.arange(n + 1) / n)
-    eta = 1e-3
-    d1 = abs(_phase_space_action(params, xs + eta * bump, ps) - action)
-    d2 = abs(_phase_space_action(params, xs + 2 * eta * bump, ps) - action)
-    ratio = float(d2 / d1) if d1 > 0 else float("nan")
-    return PathCheckReport(
-        potential=params.potential,
-        eps=eps,
-        path=xs,
-        momenta=ps,
-        force_residual=force_residual,
-        gradient_residual=gradient_residual,
-        action=action,
-        perturbation_ratio=ratio,
-    )
 
 
 # ---------------------------------------------------------------------------
