@@ -180,7 +180,6 @@ def parse_config(
     """
     if command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}")
-    env = dict(os.environ) if env is None else env
     params = COMMANDS[command].params
     specs = {**params, "seed": ParamSpec("int", 0), "out": ParamSpec("str", f"{command}.csv")}
     flags = {k: v for k, v in (flag_params or {}).items() if v is not None}
@@ -192,10 +191,11 @@ def parse_config(
         if key not in params:
             raise ConfigError(f"unknown flag {key!r}")
     flags.update({k: v for k, v in {"seed": seed, "out": out}.items() if v is not None})
+    env_seed = (os.environ if env is None else env).get("QAL_SEED")
     sources = [
         ("flag", flags),
         ("file", file_values),
-        ("env", {"seed": env["QAL_SEED"]} if "QAL_SEED" in env else {}),
+        ("env", {} if env_seed is None else {"seed": env_seed}),
     ]
 
     resolved: dict = {}

@@ -57,6 +57,10 @@ __all__ = [
 #: codes, np.unique's sort): 70.2, 67.7, 70.5 B measured at M=2 N=11, M=2 N=12, M=3 N=7
 PAIR_BYTES = 72
 
+#: resident bytes a path costs in a phase solve (component labels and counts, the
+#: phases and their wrap): 72.0 B traced on three pairs among 2^18 and 2^20 paths
+PATH_BYTES = 72
+
 
 # ---------------------------------------------------------------------------
 # exact counting
@@ -341,7 +345,8 @@ class SolveReport:
     ``max_residual`` and ``group_residuals`` refer to the radix-grouped
     system actually optimized.  Infeasible targets (|t| > 1) are reported
     without solving.  ``lower_bound`` is a certified floor under
-    the largest group residual of any phase assignment (0.0: no certificate).
+    the largest group residual of any phase assignment (0.0: no certificate),
+    capped at ``max_residual``, which round-off can put an ulp below it.
     """
 
     feasible: bool
@@ -383,7 +388,7 @@ def _solved(
         starts_tried=starts_tried,
         best_start=best_start,
         infeasible_indices=np.zeros(0, dtype=np.int64),
-        lower_bound=lower_bound,
+        lower_bound=min(lower_bound, max_res),
     )
     return PhaseAssignment(constraints.m, constraints.n, phi), report
 
@@ -403,82 +408,130 @@ def _group_jacobian(constraints: ConstraintSet, phi: np.ndarray) -> np.ndarray:
     return flat.reshape(n_groups, k)
 
 
-def solve_phases(
-    constraints: ConstraintSet, *, tol: float = 1e-8, restarts: int = 8, seed: int = 0
-) -> tuple[PhaseAssignment, SolveReport]:
-    """Gauge-fixed minimax of the largest radix-group cosine residual.
+def _components(constraints: ConstraintSet) -> tuple[np.ndarray, np.ndarray]:
+    """Each path's component, named by its smallest path index, and each component's groups.
 
-    Starts are tried in order: the all-equal assignment (every phase 0, so no
-    report is worse than leaving the phases alone), an evenly spread one, then
-    the random restarts, drawn from per-restart substreams of ``seed``.  Each
-    start is scored first; the first within ``tol`` ends the search, and each
-    other one runs one epigraph minimax by SLSQP: minimize t subject to
-    -t <= r_g <= t.  Non-convergence is reported, not raised.  A system whose
-    dense group Jacobian would exceed ``grid.KERNEL_BYTE_BUDGET`` is refused
-    with :class:`~qal.errors.SizeGuardExceeded` before anything is built.
+    Pairs are edges; if they leave several components with pairs, each pair is also tied
+    to a path of its radix group, so no group straddles two.  Min-label propagation with
+    pointer jumping, over chunks of pairs, holds O(paths), and O(groups) only then.
     """
-    k, n_groups = constraints.n_paths, constraints.n_groups
-    # peak of an SLSQP run: the dense (n_groups, K) Jacobian, its stacked
-    # (2 n_groups, K) inequality rows and SLSQP's workspace; 122 and 114 B
-    # per cell of resident memory on the full M=2 system at N=7 and 8
-    check_dense_budget(n_groups, k, 128, "phase solve")
-    bad = constraints.infeasible_pairs()
-    if bad.size:
-        report = SolveReport(
-            feasible=False,
-            converged=False,
-            max_residual=float("inf"),
-            group_residuals=np.full(n_groups, np.nan),
-            starts_tried=0,
-            best_start=-1,
-            infeasible_indices=bad,
-        )
-        return PhaseAssignment(constraints.m, constraints.n, np.zeros(k)), report
+    ii, jj, ginv = constraints.pair_i, constraints.pair_j, constraints.group_inverse
+    chunks = [slice(lo, lo + CHUNK_VALUES // 16) for lo in range(0, ii.size, CHUNK_VALUES // 16)]
+    k, member = constraints.n_paths, None
+    label = np.arange(k)
+    while True:
+        new = label.copy()
+        for part in chunks:
+            ends = [ii[part], jj[part]] + ([] if member is None else [member[ginv[part]]])
+            low = np.minimum.reduce([label[e] for e in ends])
+            for e in ends:
+                np.minimum.at(new, e, low)
+        while not np.array_equal(new[new], new):
+            new = new[new]
+        if not np.array_equal(new, label):
+            label = new
+        elif member is None and np.count_nonzero(np.bincount(label) > 1) > 1:
+            member = np.empty(constraints.n_groups, dtype=np.int64)
+            for part in chunks:
+                member[ginv[part]] = ii[part]
+        else:
+            break
+    groups = np.zeros(k)  # each group's pairs add 1/size each to their component
+    for part in chunks:
+        groups += np.bincount(label[ii[part]], 1.0 / constraints.group_sizes[ginv[part]], k)
+    return label, np.rint(groups).astype(np.int64)
+
+
+def _minimax(system: ConstraintSet, k: int, tol: float, restarts: int, seed: int) -> tuple:
+    """Best start's phases on the K paths of ``system`` (path 0 at 0), starts tried, best start."""
 
     def residuals(x: np.ndarray) -> np.ndarray:
         # x holds the K - 1 free phases (path 0 is held at 0), then t if present
-        return _group_residuals(constraints, np.concatenate(([0.0], x[: k - 1])))
+        return _group_residuals(system, np.concatenate(([0.0], x[: k - 1])))
 
     def bounds_jac(x: np.ndarray) -> np.ndarray:
-        jac = _group_jacobian(constraints, np.concatenate(([0.0], x[: k - 1])))[:, 1:]
-        return np.hstack((np.vstack((-jac, jac)), np.ones((2 * n_groups, 1))))
+        jac = _group_jacobian(system, np.concatenate(([0.0], x[: k - 1])))[:, 1:]
+        return np.hstack((np.vstack((-jac, jac)), np.ones((2 * system.n_groups, 1))))
 
     # both residual bounds as one stacked inequality: t - r_g >= 0, t + r_g >= 0
-    epigraph = {
-        "type": "ineq",
-        "fun": lambda x: (x[-1] - np.multiply.outer((1.0, -1.0), residuals(x))).ravel(),
-        "jac": bounds_jac,
-    }
+    epigraph = {"type": "ineq", "jac": bounds_jac, "fun": lambda x: (
+        x[-1] - np.multiply.outer((1.0, -1.0), residuals(x))).ravel()}
     d_t = np.append(np.zeros(k - 1), 1.0)  # gradient of the objective t
 
     streams = np.random.SeedSequence(seed).spawn(max(restarts, 0))
     starts = [np.zeros(k - 1), (np.pi * np.arange(k) / k)[1:]] + [
         np.random.default_rng(stream).uniform(-np.pi, np.pi, k - 1) for stream in streams
     ]
-    best_theta = None
-    best_res = float("inf")
-    best_start = -1
+    best_theta, best_res, best_start = None, float("inf"), -1
     for idx, theta in enumerate(starts):
         res = float(np.max(np.abs(residuals(theta)), initial=0.0))
         if res > tol:
-            theta = minimize(
-                lambda x: x[-1],
-                np.append(theta, res),
-                jac=lambda x: d_t,
-                method="SLSQP",
-                constraints=epigraph,
-                options={"maxiter": 200, "ftol": 1e-12},
-            ).x[:-1]
+            theta = minimize(lambda x: x[-1], np.append(theta, res), jac=lambda x: d_t,
+                             method="SLSQP", constraints=epigraph,
+                             options={"maxiter": 200, "ftol": 1e-12}).x[:-1]
             res = float(np.max(np.abs(residuals(theta))))
         if res < best_res:
-            best_res = res
-            best_theta = theta
-            best_start = idx
+            best_theta, best_res, best_start = theta, res, idx
         if best_res <= tol:
             break
+    return np.concatenate(([0.0], best_theta)), idx + 1, best_start
 
-    phi = np.concatenate(([0.0], best_theta))
-    return _solved(constraints, phi, tol, starts_tried=idx + 1, best_start=best_start)
+
+def solve_phases(
+    constraints: ConstraintSet, *, tol: float = 1e-8, restarts: int = 8, seed: int = 0
+) -> tuple[PhaseAssignment, SolveReport]:
+    """Gauge-fixed minimax of the largest radix-group cosine residual, component by component.
+
+    Each component (:func:`_components`) is solved alone, its first path at 0, an unpaired
+    path at 0.  A lone pair is exact, at arccos of its target; three paths whose pairs are
+    three groups take :func:`_triangle_phases`, whose largest floor is ``lower_bound``.  Any
+    other component scores starts in order: all-equal (so no report is worse than leaving
+    the phases alone), evenly spread, then restarts from per-restart substreams of ``seed``.
+    The first within ``tol`` ends the search; each other one runs one epigraph minimax by
+    SLSQP: minimize t subject to -t <= r_g <= t.  ``starts_tried`` sums the starts of all
+    components (a closed form is one), and ``best_start`` is the latest start that won on
+    any.  Non-convergence is reported, not raised.  A system whose largest component's
+    dense group Jacobian would exceed ``grid.KERNEL_BYTE_BUDGET`` is refused with
+    :class:`~qal.errors.SizeGuardExceeded` before anything per pair is built.
+    """
+    k, ii, jj = constraints.n_paths, constraints.pair_i, constraints.pair_j
+    check_dense_budget(1, k, PATH_BYTES, "phase solve")
+    label, groups = _components(constraints)
+    counts = np.bincount(label, minlength=k)
+    big = int(np.argmax(groups * counts))
+    # peak of an SLSQP run: the dense (groups, paths) Jacobian, its stacked
+    # (2 groups, paths) inequality rows and SLSQP's workspace; 122 and 114 B
+    # per cell of resident memory on the full M=2 system at N=7 and 8
+    check_dense_budget(int(groups[big]), int(counts[big]), 128, "phase solve")
+    bad = constraints.infeasible_pairs()
+    if bad.size:
+        nan = np.full(constraints.n_groups, np.nan)
+        report = SolveReport(False, False, float("inf"), nan, 0, -1, infeasible_indices=bad)
+        return PhaseAssignment(constraints.m, constraints.n, np.zeros(k)), report
+
+    ginv, comp = constraints.group_inverse, label[ii]
+    targets = np.clip(constraints.group_targets, -1.0, 1.0)
+    single = np.bincount(comp, minlength=k)[comp] == 1
+    phi = np.zeros(k)  # a lone pair: its later path turns by arccos of the target
+    phi[np.maximum(ii, jj)[single]] = np.arccos(targets[ginv[single]])
+    floor, tried, last = 0.0, int(np.count_nonzero(single)), 0
+    order = np.flatnonzero(~single)[np.argsort(comp[~single], kind="stable")]
+    for pairs in np.split(order, np.flatnonzero(np.diff(comp[order])) + 1) if order.size else ():
+        paths, local = np.unique(np.concatenate((ii[pairs], jj[pairs])), return_inverse=True)
+        kept, group = np.unique(ginv[pairs], return_inverse=True)
+        if paths.size == kept.size == pairs.size == 3:
+            d = np.empty(3)  # pairs (0, 1), (0, 2), (1, 2) of the local paths
+            d[local[:3] + local[3:] - 1] = targets[kept[group]]
+            low, theta = _triangle_phases(d[0], d[2], d[1])
+            floor, starts, best = max(floor, low), 1, 0
+        else:
+            n, sizes = pairs.size, constraints.group_sizes[kept]
+            system = replace(constraints, pair_i=local[:n], pair_j=local[n:], group_inverse=group,
+                             group_sizes=sizes, group_targets=constraints.group_targets[kept])
+            theta, starts, best = _minimax(system, paths.size, tol, restarts, seed)
+        phi[paths] = theta
+        tried, last = tried + starts, max(last, best)
+    return _solved(constraints, phi, tol, starts_tried=tried, best_start=last, lower_bound=floor)
 
 
 def _triangle_phases(d01: float, d12: float, d02: float) -> tuple[float, np.ndarray]:
@@ -490,23 +543,29 @@ def _triangle_phases(d01: float, d12: float, d02: float) -> tuple[float, np.ndar
     lower bound on r*, and phases (theta_0 = 0) that close at its high end.
     """
 
-    def close(r: float) -> np.ndarray | None:
-        spans = [(math.acos(min(1.0, d + r)), math.acos(max(-1.0, d - r))) for d in (d01, d12, d02)]
-        for signs in itertools.product((1, -1), (1, -1), (-1,)):
-            ends = [(lo, hi) if s > 0 else (-hi, -lo) for s, (lo, hi) in zip(signs, spans)]
-            low, high = (sum(e) for e in zip(*ends))
-            for turn in (-2.0 * math.pi, 0.0, 2.0 * math.pi):
-                if low <= turn <= high:
-                    lam = (turn - low) / (high - low) if high > low else 0.0
-                    t01, t12 = (lo + lam * (hi - lo) for lo, hi in ends[:2])
-                    return np.array([0.0, t01, t01 + t12])
+    def close(r: float) -> tuple[float, float] | None:
+        # plain float arithmetic, in the order of summing each sign choice's span ends
+        a01, b01 = math.acos(min(1.0, d01 + r)), math.acos(max(-1.0, d01 - r))
+        a12, b12 = math.acos(min(1.0, d12 + r)), math.acos(max(-1.0, d12 - r))
+        a02, b02 = math.acos(min(1.0, d02 + r)), math.acos(max(-1.0, d02 - r))
+        for lo01, hi01 in ((a01, b01), (-b01, -a01)):
+            for lo12, hi12 in ((a12, b12), (-b12, -a12)):
+                low, high = 0.0 + lo01 + lo12 - b02, 0.0 + hi01 + hi12 - a02
+                for turn in (-2.0 * math.pi, 0.0, 2.0 * math.pi):
+                    if low <= turn <= high:
+                        lam = (turn - low) / (high - low) if high > low else 0.0
+                        return lo01 + lam * (hi01 - lo01), lo12 + lam * (hi12 - lo12)
         return None
 
-    lo, hi = 0.0, 2.0  # at r = 2 every angle is free
+    lo, hi, angles = 0.0, 2.0, None  # at r = 2 every angle is free
     for _ in range(64):  # down to adjacent doubles, or a width of 1e-19
         mid = 0.5 * (lo + hi)
-        lo, hi = (lo, mid) if close(mid) is not None else (mid, hi)
-    return lo, close(hi)
+        if mid == lo or mid == hi:  # adjacent doubles: no later step moves either end
+            break
+        closed = close(mid)
+        lo, hi, angles = (mid, hi, angles) if closed is None else (lo, mid, closed)
+    t01, t12 = angles or close(hi)
+    return lo, np.array([0.0, t01, t01 + t12])
 
 
 def single_round_phases(

@@ -66,6 +66,18 @@ class TestParseConfig:
         assert config.seed == 99
         assert config.provenance["seed"] == "env"
 
+    def test_process_environment_seed_under_file_and_flag(self, monkeypatch, tmp_path):
+        # with no env= mapping the process environment is read, below file and flag
+        monkeypatch.setenv("QAL_SEED", "41")
+        config = parse_config("census", {"m": "2", "n": "1"})
+        assert (config.seed, config.provenance["seed"]) == (41, "env")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 5\n")
+        assert parse_config("census", {"m": "2", "n": "1"}, str(cfg)).seed == 5
+        assert parse_config("census", {"m": "2", "n": "1"}, str(cfg), seed="6").seed == 6
+        monkeypatch.delenv("QAL_SEED")
+        assert parse_config("census", {"m": "2", "n": "1"}).provenance["seed"] == "default"
+
     def test_empty_file_full_flags(self, tmp_path):
         cfg = tmp_path / "empty.cfg"
         cfg.write_text("# nothing but comments\n\n")

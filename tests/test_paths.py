@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq, minimize
 
@@ -39,6 +39,15 @@ from qal.paths import (
 )
 
 ARCCOS_MINUS_02 = 1.7721542475852274  # arccos(-0.2), frozen from math.acos
+
+# the four one-round paths' pairs and the evenly spread start's phases
+PAIRS4 = np.triu_indices(4, k=1)
+SPREAD4 = np.pi * np.arange(4) / 4
+
+# pair targets: any in [-1, 1], or one of a few that recur, so that some repeat
+TRIANGLE_TARGET = st.one_of(
+    st.floats(-1.0, 1.0), st.sampled_from([-1.0, -0.5, 0.0, 0.04, 0.5, 1.0])
+)
 
 
 def bare(probs):
@@ -617,12 +626,14 @@ class TestStartScoring:
     @pytest.mark.parametrize(
         "targets, calls, starts_tried, best_start",
         [
-            # no start meets tol: all-equal, evenly spread and two restarts each solve
-            ([-0.3, -0.2, -0.4], 4, 4, None),
+            # no start meets tol (four phases cannot be pairwise arccos(-0.3) apart):
+            # all-equal, evenly spread and two restarts each solve
+            ([-0.3] * 6, 4, 4, None),
             # target 1: the all-equal start is exact and ends the search
-            ([1.0], 0, 1, 0),
-            # target 0: all-equal misses and solves once; evenly spread (pi/2) is exact
-            ([0.0], 1, 2, 1),
+            ([1.0] * 6, 0, 1, 0),
+            # the evenly spread start's own cosines: all-equal misses and solves once
+            # (every sine is 0 there, so it stays put); evenly spread is exact
+            (np.cos(SPREAD4[PAIRS4[0]] - SPREAD4[PAIRS4[1]]), 1, 2, 1),
         ],
     )
     def test_solver_runs_once_per_start_that_misses_tol(
@@ -635,18 +646,117 @@ class TestStartScoring:
             return minimize(*args, **kwargs)
 
         monkeypatch.setattr(qal.paths, "minimize", counting)
-        m = 3 if len(targets) == 3 else 2
-        pair_i, pair_j = np.triu_indices(m, k=1)
-        # one round: every pair is its own group
-        ones = np.ones(pair_i.size, dtype=np.int64)
-        cs = qal.paths.ConstraintSet(
-            m, 1, pair_i, pair_j, np.arange(pair_i.size), ones, np.array(targets)
-        )
+        # four one-round paths, every pair its own group: one component that no
+        # closed form covers (a lone pair and a triangle never reach SLSQP)
+        ones = np.ones(6, dtype=np.int64)
+        cs = qal.paths.ConstraintSet(4, 1, *PAIRS4, np.arange(6), ones, np.array(targets))
         _, report = solve_phases(cs, seed=3, restarts=2)
         assert report.converged == (best_start is not None)
         assert report.starts_tried == starts_tried
         assert best_start is None or report.best_start == best_start
         assert methods == ["SLSQP"] * calls
+
+
+class TestComponents:
+    def test_a_group_across_two_path_sets_is_one_component(self, monkeypatch):
+        # group 0 holds the pairs (0, 1) and (4, 5); the other groups close a
+        # triangle on each of the otherwise disjoint sets {0, 1, 2} and {4, 5, 6}
+        pair_i, pair_j = np.array([0, 1, 0, 4, 5, 4]), np.array([1, 2, 2, 5, 6, 6])
+        cs = qal.paths.ConstraintSet(
+            2, 3, pair_i, pair_j, np.array([0, 1, 2, 0, 3, 4]),
+            np.array([2, 1, 1, 1, 1]), np.array([0.3, -0.2, 0.1, 0.5, -0.4]),
+        )
+        label, groups = qal.paths._components(cs)
+        assert label.tolist() == [0, 0, 0, 3, 0, 0, 0, 7]
+        assert groups[0] == 5
+        free = []
+
+        def counting(*args, **kwargs):
+            free.append(args[1].size - 1)  # the start's phases, then t
+            return minimize(*args, **kwargs)
+
+        monkeypatch.setattr(qal.paths, "minimize", counting)
+        assignment, report = solve_phases(cs, restarts=1)
+        assert free and set(free) == {5}  # six paths, the first held at 0
+        assert report.lower_bound == 0.0  # neither triangle was solved alone
+        got = qal.paths._group_residuals(cs, assignment.phases)
+        assert np.array_equal(report.group_residuals, got)
+        assert assignment.phases[3] == assignment.phases[7] == 0.0
+
+    @given(
+        st.tuples(TRIANGLE_TARGET, TRIANGLE_TARGET, TRIANGLE_TARGET),
+        st.sampled_from([2, 3]),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(
+        max_examples=100,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_closed_forms_match_the_solver_from_the_same_starts(
+        self, monkeypatch, targets, size, seed
+    ):
+        # a lone pair or a triangle of size-1 groups, alone and at random paths of 16,
+        # its pairs in random order and orientation
+        local_i, local_j = np.triu_indices(size, 1)
+        n = local_i.size
+        targets, ones = np.array(targets[:n]), np.ones(n, dtype=np.int64)
+        alone = qal.paths.ConstraintSet(size, 1, local_i, local_j, np.arange(n), ones, targets)
+        theta, _, _ = qal.paths._minimax(alone, size, 1e-8, 2, seed % 1000)
+        solver = float(np.max(np.abs(group_residuals(alone, theta))))
+
+        rng = np.random.default_rng(seed)
+        paths = np.sort(rng.choice(16, size, replace=False))
+        order, flip = rng.permutation(n), rng.random(n) < 0.5
+        pair_i = np.where(flip, paths[local_j], paths[local_i])[order]
+        pair_j = np.where(flip, paths[local_i], paths[local_j])[order]
+        cs = qal.paths.ConstraintSet(2, 4, pair_i, pair_j, np.arange(n), ones, targets[order])
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a closed-form component ran SLSQP")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(qal.paths, "minimize", forbidden)
+            assignment, report = solve_phases(cs, restarts=2, seed=seed % 1000)
+        assert report.max_residual <= solver + 1e-12
+        assert report.lower_bound <= report.max_residual
+        assert not assignment.phases[np.setdiff1d(np.arange(16), paths)].any()
+
+
+def bisection_triangle_oracle(d01, d12, d02):
+    """The three-label minimax as first written: 64 bisection steps, each sign choice a product."""
+
+    def close(r):
+        spans = [(math.acos(min(1.0, d + r)), math.acos(max(-1.0, d - r))) for d in (d01, d12, d02)]
+        for signs in itertools.product((1, -1), (1, -1), (-1,)):
+            ends = [(lo, hi) if s > 0 else (-hi, -lo) for s, (lo, hi) in zip(signs, spans)]
+            low, high = (sum(e) for e in zip(*ends))
+            for turn in (-2.0 * math.pi, 0.0, 2.0 * math.pi):
+                if low <= turn <= high:
+                    lam = (turn - low) / (high - low) if high > low else 0.0
+                    t01, t12 = (lo + lam * (hi - lo) for lo, hi in ends[:2])
+                    return np.array([0.0, t01, t01 + t12])
+        return None
+
+    lo, hi = 0.0, 2.0
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if close(mid) is not None else (mid, hi)
+    return lo, close(hi)
+
+
+class TestTrianglePhases:
+    @given(st.tuples(TRIANGLE_TARGET, TRIANGLE_TARGET, TRIANGLE_TARGET))
+    @example((0.04, 0.04, 0.04))
+    @example((-1.0, -1.0, -1.0))
+    @example((1.0, 1.0, 1.0))
+    @example((-0.5, -0.5, -0.5))
+    @settings(max_examples=2000, deadline=None)
+    def test_bitwise_equal_to_the_bisection_oracle(self, d):
+        lo, phases = qal.paths._triangle_phases(*d)
+        want_lo, want = bisection_triangle_oracle(*d)
+        assert lo.hex() == want_lo.hex()
+        assert phases.tobytes() == want.tobytes()
 
 
 def exact_three_label_gamma(P):
