@@ -42,7 +42,7 @@ params = ParticleParams(mass=1.0, alpha=1.0)
 quantum = roughness_scan(params, [4e-3, 2e-3, 1e-3], n_samples=10**5, seed=2)
 print("  sampled-path <dx^2>/eps:", [f"{p.mean_sq_over_eps:.4f}" for p in quantum.points])
 print("  halving ratios:         ", [f"{r:.3f}" for r in quantum.ratios()], "(diffusive: 0.5)")
-classical = roughness_scan(params, [4e-3, 2e-3, 1e-3], mode="classical", velocity=1.0)
+classical = roughness_scan(params, [4e-3, 2e-3, 1e-3], mode="classical")
 print("  classical-path ratios:  ", [f"{r:.3f}" for r in classical.ratios()], "(smooth: 0.25)")
 
 print("\n== apodization fades with the step size ==")

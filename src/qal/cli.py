@@ -56,7 +56,8 @@ class ParamSpec:
 
 _CHANNEL = {
     "p": ParamSpec("floats", None, "bare outcome probabilities, comma separated"),
-    "m": ParamSpec("int", None, "outcome count (defaults to len(p); p defaults to uniform)"),
+    "m": ParamSpec("int", None, "outcome count (defaults to len(p); p defaults to uniform)",
+                   minimum=2),
     "gamma": ParamSpec("floats", None, "per-outcome loss rates (default zeros)"),
     "misreads": ParamSpec("floats", None, "row-major misread matrix entries (default zeros)"),
     "labels": ParamSpec("floats", None, "outcome values (default 0..M-1)"),
@@ -158,7 +159,7 @@ def _resolve(key: str, spec: ParamSpec, sources: list[tuple[str, dict]]) -> tupl
         if spec.required:
             raise ConfigError(f"missing required parameter --{key}")
         value, origin = spec.default, "default"
-    if spec.minimum is not None and value < spec.minimum:
+    if spec.minimum is not None and value is not None and value < spec.minimum:
         raise ConfigError(f"{key}: expected at least {spec.minimum}, got {value}")
     return value, origin
 
@@ -609,7 +610,7 @@ COMMANDS: dict[str, Command] = {
     "uncertainty": Command("uncertainty", _run_uncertainty, {
         "alpha": ParamSpec("float", 1.0, "action scale"),
         "sigma0": ParamSpec("float", 1.0, "probe Gaussian width"),
-        "n-states": ParamSpec("int", 100, "random superpositions to test"),
+        "n-states": ParamSpec("int", 100, "random superpositions to test", minimum=0),
         **_GRID,
     }),
     "roughness": Command("roughness", _run_roughness, {

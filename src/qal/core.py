@@ -184,9 +184,6 @@ class CouplingMatrix:
     def m(self) -> int:
         return int(self.d.shape[0])
 
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.d)))
-
 
 def _check_same_m(bare: BareDistribution, m: int, what: str) -> None:
     if bare.m != m:

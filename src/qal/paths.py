@@ -14,9 +14,10 @@ The phase constraints are grouped by shared radix (the square-root factor
 pattern two paths have in common): within one radix group the mean of
 cos(phi_i - phi_j) must match the coupling product.  Phases additive over
 rounds factor both sums, so :func:`identity_check` solves the one-round
-system cos(theta_a - theta_b) = d_ab once, exactly for M <= 3, and raises
-both sides to the N-th power.  The N-round build and :func:`solve_phases`
-serve endpoint-filtered systems and the tests, as oracles.
+system cos(theta_a - theta_b) = d_ab once, by :func:`solve_phases` (exact
+for M <= 3), and raises both sides to the N-th power.  :func:`solve_phases`
+also serves endpoint-filtered systems; the full N-round build serves the
+tests, as an oracle.
 """
 
 from __future__ import annotations
@@ -573,25 +574,21 @@ def single_round_phases(
 ) -> tuple[PhaseAssignment, SolveReport]:
     """Minimax phases of the M one-round paths, cos(theta_a - theta_b) = d_ab.
 
-    M = 2 is exact; M = 3 is the exact minimax r* (:func:`_triangle_phases`),
-    with no solver call and no ``seed``; M >= 4 runs :func:`solve_phases`,
-    with the largest three-label r* as ``lower_bound``.  Infeasible couplings
-    are reported as :func:`solve_phases` reports them.  Any N-round system's
-    size-1 groups are one-round pairs, so ``lower_bound`` bounds every N-round
+    The one-round set goes through :func:`solve_phases`, whose component solve
+    is exact at M = 2 and the exact minimax r* at M = 3 (:func:`_triangle_phases`),
+    with no solver call and no ``seed``.  M >= 4 takes the largest three-label r*
+    as ``lower_bound``, capped at ``max_residual``.  Infeasible couplings are
+    reported as :func:`solve_phases` reports them.  Any N-round system's size-1
+    groups are one-round pairs, so ``lower_bound`` bounds every N-round
     assignment too, additive over rounds or not.
     """
-    constraints = build_constraints(bare, coupling, 1)
-    m, d = bare.m, np.clip(coupling.d, -1.0, 1.0)
-    if m > 3 or constraints.infeasible_pairs().size:
-        assignment, report = solve_phases(constraints, tol=tol, seed=seed)
-        triples = itertools.combinations(range(m), 3) if report.feasible else ()
-        floors = [_triangle_phases(d[a, b], d[b, c], d[a, c])[0] for a, b, c in triples]
-        return assignment, replace(report, lower_bound=max(floors, default=0.0))
-    if m == 3:
-        floor, theta = _triangle_phases(d[0, 1], d[1, 2], d[0, 2])
-    else:
-        floor, theta = 0.0, np.array([0.0, math.acos(d[0, 1])])
-    return _solved(constraints, theta, tol, starts_tried=1, best_start=0, lower_bound=floor)
+    assignment, report = solve_phases(build_constraints(bare, coupling, 1), tol=tol, seed=seed)
+    if bare.m < 4 or not report.feasible:
+        return assignment, report
+    d = np.clip(coupling.d, -1.0, 1.0)
+    floor = max(_triangle_phases(d[a, b], d[b, c], d[a, c])[0]
+                for a, b, c in itertools.combinations(range(bare.m), 3))
+    return assignment, replace(report, lower_bound=min(floor, report.max_residual))
 
 
 def lift_phases(labels: PhaseAssignment, n: int) -> PhaseAssignment:

@@ -59,8 +59,7 @@ class ParticleParams:
 
     ``alpha`` is the action scale (the analogue of hbar, a free parameter
     here); ``e0`` shifts the energy reference and enters only through the
-    apodization argument.  ``tau`` is the characteristic fluctuation time
-    eps / rms(y) of the chosen apodization shape.
+    apodization argument.
     """
 
     mass: float = 1.0
@@ -98,19 +97,6 @@ class ParticleParams:
         if self.apodization == "gaussian":
             return np.exp(-(y**2) / (4.0 * self.sigma_y**2))
         return (np.abs(y) <= 0.5 * self.window).astype(float)
-
-    @property
-    def apodization_rms(self) -> float:
-        if self.apodization == "gaussian":
-            return float(self.sigma_y)
-        if self.apodization == "window":
-            return float(self.window) / (2.0 * np.sqrt(3.0))
-        return float("inf")
-
-    @property
-    def tau(self) -> float:
-        rms = self.apodization_rms
-        return 0.0 if np.isinf(rms) else float(self.eps / rms)
 
 
 @dataclass(frozen=True, eq=False)
@@ -416,18 +402,14 @@ def roughness_scan(
     n_samples: int = 10**5,
     seed: int = 0,
     mode: str = "quantum",
-    velocity: float = 1.0,
-    dx: float | None = None,
-    offset: float = 0.0,
 ) -> RoughnessReport:
     """Mean-squared step increments of sampled free-particle paths.
 
     Quantum mode draws increments from the Gaussian modulus envelope of the
     free step kernel (variance eps*alpha/m per step), so the statistic
     <(dx)^2>/eps stays near alpha/m and halving eps halves <(dx)^2>.
-    Classical mode follows the smooth path x = offset + v t instead, whose
-    increments scale as eps^2.  With ``dx`` set, positions are quantized to
-    that lattice before differencing.
+    Classical mode follows the smooth path x = t instead, whose increments
+    scale as eps^2.
 
     Paths are drawn and reduced a bounded chunk of rows at a time, so memory
     does not grow with ``n_samples``; every drawn value is the one a single
@@ -453,17 +435,12 @@ def roughness_scan(
         for first in range(0, count, rows):
             x, inc = xs[: count - first], increments[: count - first]
             if mode == "classical":
-                x[0] = offset + velocity * eps * np.arange(n_steps + 1)
+                x[0] = eps * np.arange(n_steps + 1)
             else:
                 # scale * z is normal(0, scale) up to the sign of an exact zero
                 np.multiply(rng.standard_normal(out=inc), scale, out=inc)
                 np.cumsum(inc, axis=1, out=x[:, 1:])
                 x[:, 0] = 0.0
-                x += offset
-            if dx is not None:
-                np.divide(x, dx, out=x)
-                np.rint(x, out=x)
-                np.multiply(x, dx, out=x)
             np.subtract(x[:, 1:], x[:, :-1], out=inc)
             sums.append(np.sum(np.square(inc, out=inc)))
         mean_sq = math.fsum(sums) / (count * n_steps)

@@ -387,6 +387,21 @@ class TestCommands:
         assert capsys.readouterr().err.strip() == f"qal {argv[0]}: {message}"
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # a uniform channel of m < 2 outcomes: 1/m, or no pair to couple
+            (["histogram", "--m", "0"], "m: expected at least 2, got 0"),
+            (["identity-check", "--m", "0", "--n", "2"], "m: expected at least 2, got 0"),
+            # a negative count would write the Gaussian row alone
+            (["uncertainty", "--n-states", "-1"], "n-states: expected at least 0, got -1"),
+        ],
+    )
+    def test_count_below_its_floor_exit_1(self, tmp_path, capsys, argv, message):
+        assert run_in(tmp_path, argv + ["--out", "x.csv"]) == 1
+        assert capsys.readouterr().err.strip() == f"qal {argv[0]}: {message}"
+        assert not (tmp_path / "x.csv").exists()
+
     def test_removed_reference_flag_exit_1(self, tmp_path, capsys):
         assert run_in(tmp_path, ["quantum-compare", "--refine", "4"]) == 1
         assert "unrecognized arguments: --refine" in capsys.readouterr().err

@@ -334,7 +334,7 @@ class TestConstraints:
     def test_targets_bounded_when_couplings_are(self, seed):
         rng = np.random.default_rng(seed)
         P, _, d, n = random_symmetric_instance(rng)
-        if d.max_abs() > 1.0:
+        if np.max(np.abs(d.d)) > 1.0:
             return
         cs = build_constraints(P, d, n)
         assert np.all(np.abs(cs.targets) <= 1.0 + 1e-12)
@@ -616,7 +616,7 @@ class TestStartScoring:
         P = bare(probs / probs.sum())
         gamma = rng.uniform(0.0, 1.0, m)
         rep = identity_check(P, gamma, n, seed=n)
-        assert rep.feasible == (symmetric_coupling(P, gamma).max_abs() <= 1.0 + 1e-12)
+        assert rep.feasible == (np.max(np.abs(symmetric_coupling(P, gamma).d)) <= 1.0 + 1e-12)
         if rep.feasible:
             assert rep.solve_report.starts_tried == 1
             assert rep.solve_report.best_start == 0
@@ -769,7 +769,61 @@ def exact_three_label_gamma(P):
     return brentq(excess, 0.5, 1.0, xtol=1e-16)
 
 
+def closed_form_single_round(P, d):
+    """Oracle: the one-round solve without the component solve, arccos at M=2, triangle at M=3."""
+    constraints = build_constraints(P, d, 1)
+    c = np.clip(d.d, -1.0, 1.0)
+    if P.m == 3:
+        floor, theta = qal.paths._triangle_phases(c[0, 1], c[1, 2], c[0, 2])
+    else:
+        floor, theta = 0.0, np.array([0.0, math.acos(c[0, 1])])
+    return qal.paths._solved(constraints, theta, 1e-8, starts_tried=1, best_start=0,
+                             lower_bound=floor)
+
+
+# a coupling: any in [-1, 0], one of a few that recur, or a round-off past -1
+COUPLING = st.one_of(
+    st.floats(-1.0, 0.0), st.sampled_from([-1.0 - 5e-13, -1.0, -0.5, -0.04, 0.0])
+)
+
+
+def coupling_matrix(m, values):
+    d = np.zeros((m, m))
+    d[np.triu_indices(m, 1)] = values
+    return CouplingMatrix(d + d.T)
+
+
 class TestSingleRound:
+    @given(st.lists(COUPLING, min_size=3, max_size=3))
+    @settings(max_examples=500, deadline=None)
+    def test_three_labels_equal_the_closed_form_bit_for_bit(self, values):
+        P, d = bare([0.2, 0.3, 0.5]), coupling_matrix(3, values)
+        phases, report = single_round_phases(P, d)
+        oracle, expected = closed_form_single_round(P, d)
+        assert phases.phases.tobytes() == oracle.phases.tobytes()
+        for name in ("feasible", "converged", "max_residual", "starts_tried", "best_start",
+                     "lower_bound"):
+            assert getattr(report, name) == getattr(expected, name)
+        assert report.group_residuals.tobytes() == expected.group_residuals.tobytes()
+
+    @given(COUPLING)
+    @settings(max_examples=500, deadline=None)
+    def test_two_labels_within_an_ulp_of_the_closed_form(self, value):
+        # np.arccos and math.acos may round the last bit apart
+        P, d = bare([0.3, 0.7]), coupling_matrix(2, [value])
+        phases, report = single_round_phases(P, d)
+        oracle, _ = closed_form_single_round(P, d)
+        assert np.all(np.abs(phases.phases - oracle.phases) <= np.spacing(oracle.phases))
+        assert (report.starts_tried, report.best_start, report.lower_bound) == (1, 0, 0.0)
+
+    @given(st.integers(4, 5), st.lists(COUPLING, min_size=10, max_size=10), st.integers(0, 999))
+    @settings(max_examples=40, deadline=None)
+    def test_four_and_five_labels_cap_the_floor_at_the_residual(self, m, values, seed):
+        d = coupling_matrix(m, values[: m * (m - 1) // 2])
+        _, report = single_round_phases(bare(np.full(m, 1.0 / m)), d, seed=seed)
+        assert report.feasible
+        assert report.lower_bound <= report.max_residual
+
     def test_exactly_feasible_three_labels(self):
         P = bare([0.2, 0.3, 0.5])
         gamma = exact_three_label_gamma(P)

@@ -88,10 +88,6 @@ class TestKernel:
         factor = params.apodization_factor(np.array([-1.5, -0.5, 0.0, 0.5, 1.5]))
         assert np.array_equal(factor, [0.0, 1.0, 1.0, 1.0, 0.0])
 
-    def test_tau_characteristic_time(self):
-        assert ParticleParams(eps=1e-3, apodization="gaussian", sigma_y=2.0).tau == pytest.approx(5e-4)
-        assert ParticleParams(eps=1e-3).tau == 0.0
-
 
 def kernel_parts(params, grid):
     """Potential, bare symbol and phase, kinetic energy and circulant offsets."""
@@ -489,16 +485,13 @@ class TestUncertainty:
         assert scaled == pytest.approx(base, abs=1e-8)
 
 
-def whole_array_scan(
-    params, eps_values, *, n_steps, n_samples, seed, mode="quantum", velocity=1.0,
-    dx=None, offset=0.0,
-):
+def whole_array_scan(params, eps_values, *, n_steps, n_samples, seed, mode="quantum"):
     """Oracle: the roughness scan holding every sampled path at once."""
     streams = np.random.SeedSequence(seed).spawn(len(eps_values))
     means = []
     for eps, stream in zip(eps_values, streams):
         if mode == "classical":
-            xs = (offset + velocity * eps * np.arange(n_steps + 1))[None, :]
+            xs = (eps * np.arange(n_steps + 1))[None, :]
             increments = np.empty((1, n_steps))
         else:
             rng = np.random.default_rng(stream)
@@ -506,11 +499,6 @@ def whole_array_scan(
             increments = rng.normal(0.0, scale, size=(n_samples, n_steps))
             xs = np.zeros((n_samples, n_steps + 1))
             np.cumsum(increments, axis=1, out=xs[:, 1:])
-            xs += offset
-        if dx is not None:
-            np.divide(xs, dx, out=xs)
-            np.rint(xs, out=xs)
-            np.multiply(xs, dx, out=xs)
         np.subtract(xs[:, 1:], xs[:, :-1], out=increments)
         means.append(float(np.mean(np.square(increments, out=increments))))
     return means
@@ -535,15 +523,12 @@ STREAM_CASES = sorted(
 
 
 class TestRoughness:
-    @pytest.mark.parametrize("lattice", [None, 0.02], ids=["continuous", "dx-offset"])
     @pytest.mark.parametrize(
-        "n_steps, n_samples", STREAM_CASES, ids=[f"{s}x{n}" for s, n in STREAM_CASES]
+        "n_steps, n_samples", STREAM_CASES, ids=[f"{s}x{n}-continuous" for s, n in STREAM_CASES]
     )
-    def test_streamed_scan_matches_the_whole_array_scan(self, n_steps, n_samples, lattice):
+    def test_streamed_scan_matches_the_whole_array_scan(self, n_steps, n_samples):
         params = ParticleParams(mass=0.7, alpha=1.3)
-        kwargs = dict(n_steps=n_steps, n_samples=n_samples, seed=n_samples, dx=lattice)
-        if lattice is not None:
-            kwargs["offset"] = 0.3 * lattice
+        kwargs = dict(n_steps=n_steps, n_samples=n_samples, seed=n_samples)
         eps_values = [4e-3, 1e-3]
         streamed = roughness_scan(params, eps_values, **kwargs)
         expected = whole_array_scan(params, eps_values, **kwargs)
@@ -558,22 +543,18 @@ class TestRoughness:
         n_steps=st.integers(1, 40),
         n_samples=st.integers(1, 300),
         eps=st.floats(1e-5, 1e-1),
-        lattice=st.sampled_from([None, 1e-3, 0.05]),
-        offset=st.floats(-2.0, 2.0),
     )
     @settings(max_examples=80, deadline=None)
-    def test_in_place_draw_is_the_normal_draw(self, seed, n_steps, n_samples, eps, lattice, offset):
+    def test_in_place_draw_is_the_normal_draw(self, seed, n_steps, n_samples, eps):
         # one chunk: the oracle's rng.normal draws, summed in the same order
         params = ParticleParams(mass=0.7, alpha=1.3)
-        kwargs = dict(n_steps=n_steps, n_samples=n_samples, seed=seed, dx=lattice, offset=offset)
+        kwargs = dict(n_steps=n_steps, n_samples=n_samples, seed=seed)
         report = roughness_scan(params, [eps, eps / 3], **kwargs)
         expected = whole_array_scan(params, [eps, eps / 3], **kwargs)
         assert [p.mean_sq_increment for p in report.points] == expected
 
-    @pytest.mark.parametrize("lattice", [None, 1e-4], ids=["continuous", "dx-offset"])
-    def test_classical_scan_is_the_whole_array_scan(self, lattice):
-        kwargs = dict(n_steps=64, n_samples=10**6, seed=0, mode="classical", velocity=2.5,
-                      dx=lattice, offset=0.0 if lattice is None else 0.3 * lattice)
+    def test_classical_scan_is_the_whole_array_scan(self):
+        kwargs = dict(n_steps=64, n_samples=10**6, seed=0, mode="classical")
         report = roughness_scan(ParticleParams(), [4e-3, 2e-3], **kwargs)
         expected = whole_array_scan(ParticleParams(), [4e-3, 2e-3], **kwargs)
         assert [p.mean_sq_increment for p in report.points] == expected
@@ -603,24 +584,8 @@ class TestRoughness:
 
     def test_classical_scaling(self):
         params = ParticleParams()
-        report = roughness_scan(
-            params, [4e-3, 2e-3], mode="classical", velocity=1.0, seed=0
-        )
+        report = roughness_scan(params, [4e-3, 2e-3], mode="classical", seed=0)
         assert report.ratios()[0] == pytest.approx(0.25, rel=1e-9)
-
-    def test_grid_offset_invariance(self):
-        params = ParticleParams()
-        dx = 0.02
-        base = roughness_scan(
-            params, [2e-3], n_steps=32, n_samples=10**5, seed=9, dx=dx, offset=0.0
-        )
-        shifted = roughness_scan(
-            params, [2e-3], n_steps=32, n_samples=10**5, seed=10, dx=dx, offset=0.3 * dx
-        )
-        a, b = base.points[0].mean_sq_increment, shifted.points[0].mean_sq_increment
-        # 3 sigma of the mean-square estimator at this sample size
-        sigma = 3.0 * np.sqrt(2.0 / (32 * 10**5)) * max(a, b)
-        assert abs(a - b) <= sigma
 
 
 class TestApodizationStudy:
