@@ -19,6 +19,48 @@ KERNEL_BYTE_BUDGET = 1 << 31
 CHUNK_VALUES = 1 << 17
 
 
+def ordered_map(fn, items, scratch):
+    """Yield ``fn(item, buffers)`` for each item of a sequence, in order, one thread per buffer set.
+
+    ``scratch(cores)`` returns the sets, at most one per usable CPU and
+    per item; one set runs inline and starts no thread.  A thread holds one
+    set and runs one item at a time, with at most two items per thread in
+    flight.  Each task runs in a copy of the caller's context, so a caller's
+    ``np.errstate`` holds in it.  A task's exception is raised here, and
+    pending tasks are cancelled when it is or when the consumer stops.
+    """
+    import contextvars
+    import os
+    from concurrent.futures import ThreadPoolExecutor
+
+    affinity = getattr(os, "sched_getaffinity", None)
+    cores = len(affinity(0)) if affinity else os.cpu_count() or 1
+    stock = scratch(max(1, min(cores, len(items))))
+    if len(stock) == 1:
+        yield from (fn(item, stock[0]) for item in items)
+        return
+
+    def task(item):
+        buffers = stock.pop()  # never empty: no more tasks run at once than there are sets
+        try:
+            return fn(item, buffers)
+        finally:
+            stock.append(buffers)
+
+    sets = len(stock)
+    pool = ThreadPoolExecutor(sets)
+    try:
+        pending = []
+        for item in items:
+            pending.append(pool.submit(contextvars.copy_context().run, task, item))
+            if len(pending) == 2 * sets:
+                yield pending.pop(0).result()
+        for future in pending:
+            yield future.result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def check_dense_budget(rows: int, cols: int, bytes_per_entry: int, what: str) -> None:
     need = bytes_per_entry * rows * cols
     if need > KERNEL_BYTE_BUDGET:

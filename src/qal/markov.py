@@ -25,7 +25,7 @@ from .core import (
     symmetric_coupling,
 )
 from .errors import DimensionMismatch
-from .grid import CHUNK_VALUES, StateGrid, check_dense_budget
+from .grid import CHUNK_VALUES, StateGrid, check_dense_budget, ordered_map
 from .paths import PAIR_BYTES, ConstraintSet, PhaseAssignment, _path_products, constraints_for_pairs
 
 __all__ = [
@@ -43,6 +43,9 @@ __all__ = [
 ]
 
 _BLOCK = 4096  # trials per generator substream: the fixed partition of a run
+# fewest rounds of readings a thread's chunk holds: with fewer, a block spends
+# most of its time holding the interpreter lock, and a second thread slows it
+_THREAD_ROUNDS = 8
 
 
 def make_map(name: str, **params) -> Callable[[np.ndarray], np.ndarray]:
@@ -122,14 +125,17 @@ def _simulate_block(
 ) -> tuple[np.ndarray, np.ndarray]:
     x = np.full(count, float(x0))
     frozen = np.zeros(count, dtype=np.int64)
-    chunk = max(1, CHUNK_VALUES // count)  # rounds of readings drawn at once
+    chunk = work[1].size // count  # rounds of readings the lent buffers hold
     for first in range(0, rounds, chunk):
         shape = (min(chunk, rounds - first), count)
-        for row in sample_readings(spec.noise, spec.rules, rng, shape, work):
-            lost = row == LOST
-            frozen += lost
-            # a lost read's LOST index takes some label; the mask discards it
-            x = np.where(lost, x, spec.drift(x) + spec.gain(x) * spec.noise.labels.take(row))
+        reads = sample_readings(spec.noise, spec.rules, rng, shape, work)
+        # the readings sit in work[1]; the drawn uniforms' buffers are free
+        lost, labels = (b[: reads.size].reshape(shape) for b in (work[3], work[0]))
+        frozen += np.sum(np.equal(reads, LOST, out=lost), axis=0, out=work[2][:count])
+        # a lost read takes a clipped label; the mask discards it
+        spec.noise.labels.take(reads, out=labels, mode="clip")
+        for lost_row, y in zip(lost, labels):
+            x = np.where(lost_row, x, spec.drift(x) + spec.gain(x) * y)
     return x, frozen
 
 
@@ -146,26 +152,44 @@ def simulate_game(spec: GameSpec, x0: float, rounds: int, trials: int, seed: int
 
     Lost readings freeze the trial for that round.  Trials are partitioned
     into fixed blocks of 4096 with one generator substream each, so any
-    execution order of the blocks reproduces the same run.  Each block is
-    reduced to its histogram at once; the block histograms are merged once
-    they outnumber the merged one, so memory is O(distinct final states +
-    one block) and a run of all-distinct finals sorts O(log blocks) times.
+    execution order of the blocks reproduces the same run.  Blocks run on
+    one thread per usable CPU (:func:`~qal.grid.ordered_map`), so ``spec``'s
+    maps are called from worker threads, and the run is bit for bit the same
+    at any core count.  The threads split one budget of readings held at
+    once, and no thread's share is under eight rounds: a game of fewer than
+    16 rounds runs inline.  Each block is reduced to its histogram at once;
+    in block order, the block histograms are merged once they outnumber the
+    merged one, so memory is O(distinct final states + two blocks per
+    thread) and a run of all-distinct finals sorts O(log blocks) times.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     if rounds < 0:
         raise ValueError("rounds must be non-negative")
-    work = reading_work(min(CHUNK_VALUES, rounds * min(trials, _BLOCK)))
+    # the readings held at once, shared by the threads in whole rounds
+    width = min(trials, _BLOCK)
+    budget_rounds = min(CHUNK_VALUES, rounds * width) // width
+
+    def scratch(cores):
+        sets = max(1, min(cores, budget_rounds // _THREAD_ROUNDS))
+        return [reading_work(max(1, budget_rounds // sets) * width) for _ in range(sets)]
+
+    starts = range(0, trials, _BLOCK)
+    streams = np.random.SeedSequence(seed).spawn(len(starts))
+
+    def block(start, work):
+        rng = np.random.default_rng(streams[start // _BLOCK])
+        x, frozen = _simulate_block(spec, x0, rounds, rng, min(_BLOCK, trials - start), work)
+        return np.unique(x, return_counts=True), int(frozen.sum())
+
+    blocks = ordered_map(block, starts, scratch)
     merged = (np.empty(0), np.empty(0, dtype=np.int64))
     pending, held, frozen_total = [], 0, 0
-    streams = np.random.SeedSequence(seed).spawn(-(-trials // _BLOCK))
-    for start, stream in zip(range(0, trials, _BLOCK), streams):
-        count = min(_BLOCK, trials - start)
-        x, frozen = _simulate_block(spec, x0, rounds, np.random.default_rng(stream), count, work)
-        pending.append(np.unique(x, return_counts=True))
-        held += pending[-1][0].size
-        frozen_total += int(frozen.sum())
-        if held >= max(merged[0].size, _BLOCK) or start + count == trials:
+    for start, (histogram, frozen) in zip(starts, blocks):
+        pending.append(histogram)
+        held += histogram[0].size
+        frozen_total += frozen
+        if held >= max(merged[0].size, _BLOCK) or start + _BLOCK >= trials:
             merged, pending, held = _merge_histograms([merged, *pending]), [], 0
     return GameRun(*merged, frozen_total, trials=trials, rounds=rounds, seed=seed)
 

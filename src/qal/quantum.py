@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatch, PhaseWrapGuard
-from .grid import CHUNK_VALUES, StateGrid, check_dense_budget
+from .grid import CHUNK_VALUES, StateGrid, check_dense_budget, ordered_map
 
 __all__ = [
     "ParticleParams",
@@ -413,7 +413,9 @@ def roughness_scan(
 
     Paths are drawn and reduced a bounded chunk of rows at a time, so memory
     does not grow with ``n_samples``; every drawn value is the one a single
-    whole-ensemble draw returns.
+    whole-ensemble draw returns.  The eps values run on one thread per usable
+    CPU (:func:`~qal.grid.ordered_map`), each thread reusing one chunk, and
+    the report is bit for bit the same at any core count.
     """
     if mode not in ("quantum", "classical"):
         raise ValueError("mode must be 'quantum' or 'classical'")
@@ -424,16 +426,14 @@ def roughness_scan(
         raise ValueError(f"every eps must be positive, got {eps_values}")
     count = n_samples if mode == "quantum" else 1
     rows = min(count, max(1, CHUNK_VALUES // (n_steps + 1)))
-    xs = np.empty((rows, n_steps + 1))
-    increments = np.empty((rows, n_steps))
-    streams = np.random.SeedSequence(seed).spawn(len(eps_values))
-    points = []
-    for eps, stream in zip(eps_values, streams):
+
+    def point(item, buffers):
+        eps, stream = item
         rng = np.random.default_rng(stream)
         scale = np.sqrt(eps * params.alpha / params.mass)
         sums = []
         for first in range(0, count, rows):
-            x, inc = xs[: count - first], increments[: count - first]
+            x, inc = (b[: count - first] for b in buffers)
             if mode == "classical":
                 x[0] = eps * np.arange(n_steps + 1)
             else:
@@ -444,7 +444,13 @@ def roughness_scan(
             np.subtract(x[:, 1:], x[:, :-1], out=inc)
             sums.append(np.sum(np.square(inc, out=inc)))
         mean_sq = math.fsum(sums) / (count * n_steps)
-        points.append(RoughnessPoint(eps, mean_sq, mean_sq / eps))
+        return RoughnessPoint(eps, mean_sq, mean_sq / eps)
+
+    def scratch(sets):
+        return [(np.empty((rows, n_steps + 1)), np.empty((rows, n_steps))) for _ in range(sets)]
+
+    streams = np.random.SeedSequence(seed).spawn(len(eps_values))
+    points = ordered_map(point, list(zip(eps_values, streams)), scratch)
     return RoughnessReport(mode=mode, points=tuple(points))
 
 

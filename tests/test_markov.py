@@ -1,6 +1,7 @@
 """Games driven by the reading channel: Monte Carlo, kernels, amplitudes."""
 
 import itertools
+import threading
 
 import numpy as np
 import pytest
@@ -37,6 +38,7 @@ from qal.markov import (
 )
 from qal.paths import PhaseAssignment, all_paths, lift_phases, solve_phases
 from test_core import random_instance
+from test_grid import CORE_COUNTS, usable_cores
 
 def walk(gamma=0.2):
     return GameSpec.random_walk(QRuleParams.pure_loss([gamma, gamma]))
@@ -253,6 +255,57 @@ class TestSimulateGame:
         assert_same_run(run, *histogram(finals), 0)
         # 17 blocks: merged after blocks 1, 2, 4, 8 and 16 and at the end
         assert len(merges) <= np.log2(17) + 2
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_same_bits_at_any_core_count(self, monkeypatch, seed):
+        rng = np.random.default_rng(seed)
+        drift = make_map("quadratic", slope=0.5, curvature=float(rng.uniform(-0.01, 0.01)))
+        spec = random_game(rng, drift)
+        # six blocks, the last partial; 40 rounds take two to five chunks a block
+        rounds, trials = 40, 5 * _BLOCK + int(rng.integers(1, _BLOCK))
+        runs = []
+        for cores in CORE_COUNTS:
+            usable_cores(monkeypatch, cores)
+            runs.append(simulate_game(spec, 0.0, rounds, trials, seed))
+        for run in runs[1:]:
+            assert_same_run(run, runs[0].values, runs[0].counts, runs[0].frozen_total)
+
+    @pytest.mark.parametrize("rounds, threaded", [(7, False), (40, True)])
+    def test_maps_run_on_worker_threads_only_for_long_games(self, monkeypatch, rounds, threaded):
+        usable_cores(monkeypatch, 5)
+        callers = set()
+
+        def drift(x):
+            callers.add(threading.current_thread())
+            return x
+
+        spec = GameSpec(drift, walk().gain, walk().noise, walk().rules)
+        simulate_game(spec, 0.0, rounds, 4 * _BLOCK, seed=2)
+        assert (callers != {threading.current_thread()}) == threaded
+
+    def test_all_distinct_finals_merge_alike_at_any_core_count(self, monkeypatch):
+        # the walk of test_all_distinct_finals_merge_exactly_and_rarely
+        spec = GameSpec(
+            drift=make_map("quadratic", slope=0.5, curvature=0.0123),
+            gain=make_map("constant", value=1.0),
+            noise=walk().noise,
+            rules=QRuleParams.lossless(2),
+        )
+        merge = qal.markov._merge_histograms
+        runs, merges = [], []
+        for cores in CORE_COUNTS:
+            usable_cores(monkeypatch, cores)
+            merges.append([])
+            monkeypatch.setattr(
+                qal.markov,
+                "_merge_histograms",
+                lambda parts, calls=merges[-1]: calls.append(len(parts)) or merge(parts),
+            )
+            runs.append(simulate_game(spec, 0.0, 48, 16 * _BLOCK + 100, 5))
+        assert runs[0].values.size == 16 * _BLOCK + 100
+        for run, calls in zip(runs[1:], merges[1:]):
+            assert_same_run(run, runs[0].values, runs[0].counts, 0)
+            assert calls == merges[0]
 
     def test_block_memory_does_not_grow_with_rounds(self):
         # one 4096-trial block; 2000 rounds of readings at once would be 131 MB

@@ -25,6 +25,7 @@ from qal.quantum import (
     roughness_scan,
     uncertainty_product,
 )
+from test_grid import CORE_COUNTS, usable_cores
 
 SQRT_1_25 = 1.118033988749895  # free Gaussian width at t=1 for m=alpha=sigma0=1
 
@@ -558,6 +559,22 @@ class TestRoughness:
         report = roughness_scan(ParticleParams(), [4e-3, 2e-3], **kwargs)
         expected = whole_array_scan(ParticleParams(), [4e-3, 2e-3], **kwargs)
         assert [p.mean_sq_increment for p in report.points] == expected
+
+    @pytest.mark.parametrize(
+        "mode, n_samples",
+        [("quantum", 300), ("quantum", 3 * chunk_rows(64) + 17), ("classical", 300)],
+        ids=["quantum-one-chunk", "quantum-four-chunks", "classical"],
+    )
+    def test_same_bits_at_any_core_count(self, monkeypatch, mode, n_samples):
+        ladder = [8e-3, 4e-3, 2e-3, 1e-3, 5e-4]
+        scans = []
+        for cores in CORE_COUNTS:
+            usable_cores(monkeypatch, cores)
+            report = roughness_scan(
+                ParticleParams(), ladder, n_steps=64, n_samples=n_samples, seed=11, mode=mode
+            )
+            scans.append(report.points)
+        assert all(points == scans[0] for points in scans[1:])
 
     def test_memory_does_not_grow_with_samples(self):
         # the whole-array scan holds ~410 MB of increments and positions here
