@@ -54,9 +54,9 @@ __all__ = [
     "identity_check",
 ]
 
-#: resident bytes a pair costs while a constraint set is built (pair indices, radix
-#: codes, np.unique's sort): 70.2, 67.7, 70.5 B measured at M=2 N=11, M=2 N=12, M=3 N=7
-PAIR_BYTES = 72
+#: resident bytes a pair costs while a constraint set is built (indices, codes, np.unique's
+#: sort, inverse): 67.1, 65.8, 66.8 B at M=2 N=11, 12, M=3 N=7; 74.3 B at 2^20 endpoint paths
+PAIR_BYTES = 80
 
 #: resident bytes a path costs in a phase solve (component labels and counts, the
 #: phases and their wrap): 72.0 B traced on three pairs among 2^18 and 2^20 paths
@@ -213,6 +213,8 @@ def _labels_of(index: np.ndarray, m: int, n: int) -> np.ndarray:
 
 def all_paths(m: int, n: int) -> np.ndarray:
     """All M^N classical paths in lexicographic order, as an (M^N, N) array."""
+    if n < 1:
+        raise ValueError("need at least one round")
     # rows, index and a chunk: 8.09, 8.42 B resident a cell of M^N x (N + 1) at M=2 N=20, 18
     check_dense_budget(m**n, n + 1, 9, "classical paths")
     return _labels_of(np.arange(m**n), m, n)
@@ -229,11 +231,11 @@ class ConstraintSet:
 
     Constraint n ties the paths ``pair_i[n]`` and ``pair_j[n]`` of the M^N
     N-round paths.  ``group_inverse`` maps each pair to its radix group
-    (pairs sharing the per-round unordered label pattern), the granularity at
-    which the phase system is solved: the mean of cos(phi_i - phi_j) over the
-    ``group_sizes[g]`` pairs of group g must match ``group_targets[g]``, the
-    product of couplings over the rounds where the paths differ.  ``len``
-    counts the pairs.
+    (pairs sharing the per-round unordered label pattern, in the order of its
+    int64 code), the granularity at which the phase system is solved: the mean
+    of cos(phi_i - phi_j) over the ``group_sizes[g]`` pairs of group g must
+    match ``group_targets[g]``, the product over rounds of ``d[min, max]`` (1
+    where the labels agree).  ``len`` counts the pairs.
     """
 
     m: int
@@ -278,11 +280,13 @@ def constraints_for_pairs(
     are constrained against each other.  One pass over the pairs, in chunks
     of ``CHUNK_VALUES`` labels read off the indices, codes each pair's
     per-round unordered label pattern as an int64 in base M^2 (M^(2N) above
-    2^64 is refused); a pass over the groups in the same chunks takes each
-    group's target, its first pair's coupling product.
+    2^64 is refused).  A group is its code: its target, the product over
+    rounds of ``d[min, max]``, is read off the code's uint64 digits.
     """
     if coupling.m != bare.m:
         raise DimensionMismatch("coupling size does not match the distribution")
+    if n < 1:
+        raise ValueError("need at least one round")
     m = bare.m
     if n > 32 or m ** (2 * n) > 1 << 64:  # M^(2N) >= 4^N
         raise ValueError(f"M={m}, N={n}: M^(2N) label patterns of a pair exceed 2^64 radix codes")
@@ -299,14 +303,14 @@ def constraints_for_pairs(
         b = _labels_of(pair_j[lo : lo + rows], m, n)
         pattern = np.minimum(a, b) * m + np.maximum(a, b)  # round r: digit r, base M^2
         codes[lo : lo + rows] = (pattern * weights).sum(axis=1)
-    _, first, inverse, sizes = np.unique(
-        codes, return_index=True, return_inverse=True, return_counts=True
-    )
-    targets = np.empty(first.size)
-    for lo in range(0, first.size, rows):
-        a, b = (_labels_of(p[first[lo : lo + rows]], m, n) for p in (pair_i, pair_j))
-        targets[lo : lo + rows] = np.where(a == b, 1.0, coupling.d[a, b]).prod(axis=1)
-    return ConstraintSet(m, n, pair_i, pair_j, inverse, sizes, targets)
+    codes, inverse = np.unique(codes, return_inverse=True)
+    factor = np.where(np.eye(m, dtype=bool), 1.0, coupling.d).ravel()  # at min * M + max
+    codes, weights = codes.view(np.uint64), weights.view(np.uint64)  # int64 wraps past 2^63
+    targets = np.empty(codes.size)
+    for lo in range(0, codes.size, rows):
+        digits = codes[lo : lo + rows, None] // weights % np.uint64(m * m)
+        targets[lo : lo + rows] = factor[digits].prod(axis=1)
+    return ConstraintSet(m, n, pair_i, pair_j, inverse, np.bincount(inverse), targets)
 
 
 def build_constraints(

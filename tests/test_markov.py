@@ -36,7 +36,7 @@ from qal.markov import (
     propagate_distribution,
     simulate_game,
 )
-from qal.paths import PhaseAssignment, all_paths, lift_phases, solve_phases
+from qal.paths import PAIR_BYTES, PhaseAssignment, all_paths, lift_phases, solve_phases
 from test_core import random_instance
 from test_grid import CORE_COUNTS, usable_cores
 
@@ -760,8 +760,8 @@ class TestEndpointConstraints:
         monkeypatch.setattr(np, "repeat", forbidden)
 
     def test_largest_one_endpoint_set_is_admitted(self, monkeypatch):
-        # all 2^12 paths of a still walk share their endpoint: 72 B x 8.4 M pairs
-        # (0.60 GB) is admitted; the pair charge, once it passes, ends the call
+        # all 2^12 paths of a still walk share their endpoint: 80 B x 8.4 M pairs
+        # (0.67 GB) is admitted; the pair charge, once it passes, ends the call
         def stop_at_pairs(rows, cols, bytes_per_entry, what):
             if what == "phase constraints":
                 assert rows == 2**12 * (2**12 - 1) // 2
@@ -782,16 +782,16 @@ class TestEndpointConstraints:
         assert traced_peak(refuse) < 1 << 20
 
     def test_refused_from_endpoint_counts(self, monkeypatch):
-        # 2^13 paths on one endpoint: 72 B x 33.6 M pairs is 2.4 GB
+        # 2^13 paths on one endpoint: 80 B x 33.6 M pairs is 2.7 GB
         self.forbid_pair_arrays(monkeypatch)
-        need = 72 * (2**13 * (2**13 - 1) // 2)
+        need = PAIR_BYTES * (2**13 * (2**13 - 1) // 2)
         with capped_address_space(), pytest.raises(SizeGuardExceeded, match=str(need)):
             endpoint_constraints(still_walk(), integer_grid(3), 0.0, 13)
 
     @pytest.mark.parametrize("steps", [6, 7])
     def test_byte_guard_edge_at_a_lowered_budget(self, monkeypatch, steps):
-        # with the budget at 72 B x C(64, 2), 6 steps are built and 7 refused
-        monkeypatch.setattr(qal.grid, "KERNEL_BYTE_BUDGET", 72 * (64 * 63 // 2))
+        # with the budget at PAIR_BYTES x C(64, 2), 6 steps are built and 7 refused
+        monkeypatch.setattr(qal.grid, "KERNEL_BYTE_BUDGET", PAIR_BYTES * (64 * 63 // 2))
         pairs = 2**steps * (2**steps - 1) // 2
         if steps == 6:
             assert len(endpoint_constraints(still_walk(), integer_grid(3), 0.0, steps)) == pairs
@@ -799,7 +799,8 @@ class TestEndpointConstraints:
         self.forbid_pair_arrays(monkeypatch)
 
         def refuse():
-            with capped_address_space(), pytest.raises(SizeGuardExceeded, match=str(72 * pairs)):
+            need = str(PAIR_BYTES * pairs)
+            with capped_address_space(), pytest.raises(SizeGuardExceeded, match=need):
                 endpoint_constraints(still_walk(), integer_grid(3), 0.0, steps)
 
         assert traced_peak(refuse) < 1 << 20

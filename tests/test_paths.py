@@ -23,6 +23,7 @@ from qal.errors import DimensionMismatch, SizeGuardExceeded
 from qal.grid import StateGrid
 from qal.markov import GameSpec, endpoint_constraints, make_map
 from qal.paths import (
+    PAIR_BYTES,
     PhaseAssignment,
     all_paths,
     amplitude_sum,
@@ -127,6 +128,34 @@ def two_pass_constraints(P, d, paths, pair_i, pair_j):
         pattern[:, ::-1], axis=0, return_index=True, return_inverse=True, return_counts=True
     )
     return inverse.reshape(-1), sizes, targets[first], targets
+
+
+def first_pair_constraints(P, d, n, pair_i, pair_j):
+    """Oracle: the two-pass rule, each group's target its first pair's coupling product.
+
+    Codes each pair's per-round (min, max) pattern in base M^2 as a wrapping int64,
+    groups the codes by a stable sort, then reads the labels of each group's first
+    pair again and takes ``d[a, b]`` in that pair's orientation.
+    """
+    def labels(index):
+        return np.stack(np.unravel_index(index, (P.m,) * n), axis=1).reshape(-1, n)
+
+    a, b = labels(pair_i), labels(pair_j)
+    weights = (P.m * P.m) ** np.arange(n, dtype=np.int64)
+    codes = ((np.minimum(a, b) * P.m + np.maximum(a, b)) * weights).sum(axis=1)
+    _, first, inverse, sizes = np.unique(
+        codes, return_index=True, return_inverse=True, return_counts=True
+    )
+    a, b = labels(pair_i[first]), labels(pair_j[first])
+    return inverse, sizes, np.where(a == b, 1.0, d.d[a, b]).prod(axis=1)
+
+
+def assert_first_pair_rule(P, d, n, cs):
+    """``cs`` holds the first-pair oracle's groups and targets, bit for bit."""
+    inverse, sizes, targets = first_pair_constraints(P, d, n, cs.pair_i, cs.pair_j)
+    assert np.array_equal(cs.group_inverse, inverse)
+    assert cs.group_sizes.dtype == sizes.dtype and np.array_equal(cs.group_sizes, sizes)
+    assert np.array_equal(cs.group_targets.view(np.int64), targets.view(np.int64))
 
 
 def group_residuals(cs, phi):
@@ -396,11 +425,84 @@ class TestConstraints:
         with pytest.raises(ValueError, match="M=2, N=33"):
             constraints_for_pairs(P, d, n, [0, 0], [3, 2])
 
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_targets_read_off_the_code_match_the_first_pair_rule(self, seed):
+        # 1 to 200 pairs of the 5^6 paths at most, then some of them flipped,
+        # some repeated and some paths paired with themselves, in any order
+        rng = np.random.default_rng(seed)
+        P, _, d, n = random_symmetric_instance(rng, m_max=5, n_max=6)
+        pairs = rng.integers(0, P.m**n, size=(2, int(rng.integers(1, 201))))
+        picks = [rng.integers(0, pairs.shape[1], int(rng.integers(0, 21))) for _ in range(3)]
+        pairs = np.concatenate(
+            (pairs, pairs[::-1, picks[0]], pairs[:, picks[1]], pairs[[0, 0]][:, picks[2]]), axis=1
+        )[:, rng.permutation(pairs.shape[1] + sum(p.size for p in picks))]
+        assert_first_pair_rule(P, d, n, constraints_for_pairs(P, d, n, *pairs))
+        # 1 to 7 pairs a chunk, the last one partial whenever the count allows
+        small = n * int(rng.integers(1, 8)) + int(rng.integers(0, n))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(qal.paths, "CHUNK_VALUES", small)
+            assert_first_pair_rule(P, d, n, constraints_for_pairs(P, d, n, *pairs))
+
+    @pytest.mark.parametrize("m, n", [(2, 32), (3, 20)])
+    def test_codes_past_2_to_the_63_decode(self, m, n):
+        # the last round is the code's top digit, M^2 - 1 where both paths end on
+        # label M - 1: such a pair codes past 2^63, a wrapped negative int64 that
+        # decodes as uint64 (9^20 codes are not a power of two: a signed decode fails)
+        P = bare(np.full(m, 1.0 / m))
+        d = symmetric_coupling(P, np.linspace(0.1, 0.3, m))
+        rng = np.random.default_rng(7)
+        pair_i, pair_j = rng.integers(0, m**n, size=(2, 2000))
+        pair_i[:3], pair_j[:3] = [m**n - 1, 1, m - 1], [m**n - 1, m - 1, m**n - 2]
+        assert np.count_nonzero((pair_i % m == m - 1) & (pair_j % m == m - 1)) > 2000 // m**2 // 2
+        assert_first_pair_rule(P, d, n, constraints_for_pairs(P, d, n, pair_i, pair_j))
+
+    def test_the_2_to_the_16_endpoint_set_matches_the_first_pair_rule(self):
+        walk = GameSpec.random_walk(QRuleParams.pure_loss([0.2, 0.2]))
+        triple = GameSpec(make_map("linear", slope=3.0), walk.gain, walk.noise, walk.rules)
+        grid = StateGrid.from_range(-10**5, 10**5, 2 * 10**5 + 1)
+        cs = endpoint_constraints(triple, grid, 0.0, 16, boundary="wrap")
+        assert (len(cs), cs.n_groups) == (14540, 14540)
+        assert_first_pair_rule(walk.noise, symmetric_coupling(walk.noise, [0.2, 0.2]), 16, cs)
+
+    def test_a_group_a_pair_stays_within_the_pair_charge(self):
+        # a million random pairs of 20-round paths are nearly a million groups, where
+        # per-group arrays cost the most; the charge covers the pair indices too, and
+        # the fixed allowance covers a chunk's label rows of both paths
+        P = bare([0.5, 0.5])
+        d = symmetric_coupling(P, [0.2, 0.2])
+        pair_i, pair_j = np.random.default_rng(0).integers(0, 2**20, size=(2, 10**6))
+        sets = []
+        peak = traced_peak(lambda: sets.append(constraints_for_pairs(P, d, 20, pair_i, pair_j)))
+        assert sets[0].n_groups > 0.99 * pair_i.size
+        allowance = 16 * qal.grid.CHUNK_VALUES
+        assert peak + pair_i.nbytes + pair_j.nbytes <= PAIR_BYTES * pair_i.size + allowance
+
+    @pytest.mark.parametrize("n", [0, -1])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda n: all_paths(2, n),
+            lambda n: lift_phases(PhaseAssignment(2, 1, np.zeros(2)), n),
+            lambda n: build_constraints(*zero_coupling(2), n),
+            lambda n: constraints_for_pairs(*zero_coupling(2), n, [0], [0]),
+            lambda n: endpoint_constraints(
+                GameSpec.random_walk(QRuleParams.pure_loss([0.2, 0.2])),
+                StateGrid.from_range(-3.0, 3.0, 7), 0.0, n, boundary="wrap",
+            ),
+        ],
+        ids=["all_paths", "lift_phases", "build_constraints", "constraints_for_pairs",
+             "endpoint_constraints"],
+    )
+    def test_refuses_fewer_than_one_round(self, build, n):
+        with pytest.raises(ValueError, match="need at least one round"):
+            build(n)
+
     def test_size_guard(self):
-        # 9^4 paths make 21.5 M pairs (1.55 GB), admitted; 9^5 make 1.7 G pairs
+        # 9^4 paths make 21.5 M pairs (1.72 GB), admitted; 9^5 make 1.7 G pairs
         P = bare(np.full(9, 1.0 / 9.0))
         d = CouplingMatrix(np.zeros((9, 9)))
-        with pytest.raises(SizeGuardExceeded, match=str(72 * (9**5 * (9**5 - 1) // 2))):
+        with pytest.raises(SizeGuardExceeded, match=str(PAIR_BYTES * (9**5 * (9**5 - 1) // 2))):
             build_constraints(P, d, 5)
 
 
@@ -426,7 +528,7 @@ BYTE_GUARDED = {
     ),
     "build_constraints": (
         lambda m, n: build_constraints(*zero_coupling(m), n),
-        lambda m, n: 72 * (m**n * (m**n - 1) // 2),
+        lambda m, n: PAIR_BYTES * (m**n * (m**n - 1) // 2),
     ),
 }
 
