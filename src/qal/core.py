@@ -249,10 +249,24 @@ def symmetrizing_misreads(bare: BareDistribution, loss_rates) -> QRuleParams:
     return QRuleParams(gamma, misreads)
 
 
-def reading_work(draws: int) -> tuple[np.ndarray, ...]:
-    """Buffers that :func:`sample_readings` calls of up to ``draws`` readings can reuse."""
+def reading_work(bare: BareDistribution, rules: QRuleParams, draws: int) -> tuple[np.ndarray, ...]:
+    """The channel's tables and buffers for :func:`sample_readings` calls of up to ``draws`` readings.
+
+    The cumulative weights, read edges and outcome table depend on the
+    channel alone, so a run builds them here once, not per call.
+    """
+    _check_same_m(bare, rules.m, "reading_work")
+    m = rules.m
+    # Column l partitions the read uniform: lost below edges[0, l], misread as
+    # others[k - 1, l] from edges[k, l], correct read from edges[m - 1, l] on.
+    rows = np.arange(m - 1)[:, None]
+    others = rows + (rows >= np.arange(m))
+    reach = rules.loss_rates + np.cumsum(rules.misreads, axis=0)
+    edges = np.vstack([rules.loss_rates, np.take_along_axis(reach, others, axis=0)])
+    outcomes = np.vstack([np.full(m, LOST), others, np.arange(m)]).ravel()
     index = np.empty(draws, np.intp)
-    return np.empty(3 * draws), index, np.empty_like(index), np.empty(draws, bool)
+    buffers = np.empty(3 * draws), index, np.empty_like(index), np.empty(draws, bool)
+    return np.cumsum(bare.probs)[:-1], edges, outcomes, *buffers
 
 
 def sample_readings(
@@ -271,33 +285,27 @@ def sample_readings(
     uniforms.  A ``(R, n)`` call therefore consumes the stream exactly as R
     consecutive ``size=n`` calls do and returns the same readings.
 
-    ``work`` from :func:`reading_work` lends the call its buffers, so a loop
-    of calls allocates nothing; the readings are then a view into it, valid
-    until the next call with the same ``work``.
+    ``work`` from :func:`reading_work` for the same channel lends the call
+    its tables and buffers, so a loop of calls builds and allocates nothing;
+    the readings are then a view into it, valid until the next call with the
+    same ``work``.
     """
     _check_same_m(bare, rules.m, "sample_readings")
-    m = rules.m
     shape = (size,) if np.ndim(size) == 0 else tuple(size)
     n = int(np.prod(shape))
-    work = reading_work(n) if work is None else work
-    u = rng.random(out=work[0][: 2 * n].reshape(shape[:-1] + (2, shape[-1])))
+    work = reading_work(bare, rules, n) if work is None else work
+    cumulative, edges, outcomes, uniforms, *buffers = work
+    u = rng.random(out=uniforms[: 2 * n].reshape(shape[:-1] + (2, shape[-1])))
     true_u, read_u = u[..., 0, :], u[..., 1, :]
-    edge_u, true_idx, pos, mask = (b[:n].reshape(shape) for b in (work[0][2 * n :], *work[1:]))
+    edge_u, true_idx, pos, mask = (b[:n].reshape(shape) for b in (uniforms[2 * n :], *buffers))
     # true index: cumulative weights at or below the uniform, the last taken as 1
-    true_idx[...] = 0
-    for c in np.cumsum(bare.probs)[:-1]:
+    np.greater_equal(true_u, cumulative[0], out=true_idx)
+    for c in cumulative[1:]:
         true_idx += np.greater_equal(true_u, c, out=mask)
-    # Column l partitions the read uniform: lost below edges[0, l], misread as
-    # others[k - 1, l] from edges[k, l], correct read from edges[m - 1, l] on.
-    rows = np.arange(m - 1)[:, None]
-    others = rows + (rows >= np.arange(m))
-    reach = rules.loss_rates + np.cumsum(rules.misreads, axis=0)
-    edges = np.vstack([rules.loss_rates, np.take_along_axis(reach, others, axis=0)])
-    outcomes = np.vstack([np.full(m, LOST), others, np.arange(m)]).ravel()
     # flat index into outcomes: m per edge passed, plus the true column
-    pos[...] = 0
-    for edge in edges:
+    np.greater_equal(read_u, edges[0].take(true_idx, out=edge_u, mode="clip"), out=pos)
+    for edge in edges[1:]:
         pos += np.greater_equal(read_u, edge.take(true_idx, out=edge_u, mode="clip"), out=mask)
-    pos *= m
+    pos *= rules.m
     pos += true_idx
     return outcomes.take(pos, out=true_idx, mode="clip")

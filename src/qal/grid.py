@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,12 @@ KERNEL_BYTE_BUDGET = 1 << 31
 CHUNK_VALUES = 1 << 17
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS has one."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
 def ordered_map(fn, items, scratch):
     """Yield ``fn(item, buffers)`` for each item of a sequence, in order, one thread per buffer set.
 
@@ -30,12 +37,9 @@ def ordered_map(fn, items, scratch):
     pending tasks are cancelled when it is or when the consumer stops.
     """
     import contextvars
-    import os
     from concurrent.futures import ThreadPoolExecutor
 
-    affinity = getattr(os, "sched_getaffinity", None)
-    cores = len(affinity(0)) if affinity else os.cpu_count() or 1
-    stock = scratch(max(1, min(cores, len(items))))
+    stock = scratch(max(1, min(usable_cpus(), len(items))))
     if len(stock) == 1:
         yield from (fn(item, stock[0]) for item in items)
         return

@@ -25,7 +25,7 @@ from .core import (
     symmetric_coupling,
 )
 from .errors import DimensionMismatch
-from .grid import CHUNK_VALUES, StateGrid, check_dense_budget, ordered_map
+from .grid import CHUNK_VALUES, StateGrid, check_dense_budget, ordered_map, usable_cpus
 from .paths import PAIR_BYTES, ConstraintSet, PhaseAssignment, _path_products, constraints_for_pairs
 
 __all__ = [
@@ -43,9 +43,11 @@ __all__ = [
 ]
 
 _BLOCK = 4096  # trials per generator substream: the fixed partition of a run
-# fewest rounds of readings a thread's chunk holds: with fewer, a block spends
-# most of its time holding the interpreter lock, and a second thread slows it
-_THREAD_ROUNDS = 8
+# fewest rounds of readings a thread's chunk holds: with fewer, a slab spends
+# most of its time holding the interpreter lock.  On 2 CPUs, two threads took
+# 1.65x and 1.13x the one-thread time at 2 and 4 rounds, 0.72x and 0.66x at 8
+# and 12 (+-1 walk, 8e6 trial-rounds, medians of 7)
+_THREAD_ROUNDS = 4
 
 
 def make_map(name: str, **params) -> Callable[[np.ndarray], np.ndarray]:
@@ -120,23 +122,40 @@ class GameRun:
         return self.frozen_total / self.trials
 
 
-def _simulate_block(
-    spec: GameSpec, x0: float, rounds: int, rng: np.random.Generator, count: int, work: tuple
-) -> tuple[np.ndarray, np.ndarray]:
-    x = np.full(count, float(x0))
-    frozen = np.zeros(count, dtype=np.int64)
-    chunk = work[1].size // count  # rounds of readings the lent buffers hold
-    for first in range(0, rounds, chunk):
-        shape = (min(chunk, rounds - first), count)
-        reads = sample_readings(spec.noise, spec.rules, rng, shape, work)
-        # the readings sit in work[1]; the drawn uniforms' buffers are free
-        lost, labels = (b[: reads.size].reshape(shape) for b in (work[3], work[0]))
-        frozen += np.sum(np.equal(reads, LOST, out=lost), axis=0, out=work[2][:count])
-        # a lost read takes a clipped label; the mask discards it
-        spec.noise.labels.take(reads, out=labels, mode="clip")
-        for lost_row, y in zip(lost, labels):
-            x = np.where(lost_row, x, spec.drift(x) + spec.gain(x) * y)
-    return x, frozen
+def _slab_work(spec: GameSpec, chunk: int, width: int, slab: int) -> tuple:
+    """Buffers for slabs of up to ``slab`` blocks of up to ``width`` trials, ``chunk`` rounds a draw."""
+    # readings in the smallest integer type that holds LOST..M-1
+    reading = np.result_type(np.min_scalar_type(LOST), np.min_scalar_type(spec.noise.m - 1))
+    held = np.empty((chunk, slab * width), reading)
+    states = np.empty((2, slab * width))
+    return reading_work(spec.noise, spec.rules, chunk * width), held, *states, np.empty(slab * width, bool)
+
+
+def _simulate_slab(
+    spec: GameSpec, x0: float, rounds: int, rngs: list, counts: list[int], work: tuple
+) -> tuple[list[np.ndarray], int]:
+    """Final states of blocks run side by side, one generator each, and their frozen total.
+
+    Each block draws its chunk of rounds from its own generator; the
+    readings sit side by side, so each round updates the whole slab at once.
+    """
+    sampling, held, x, y, kept = work
+    width = sum(counts)
+    x, y, kept = x[:width], y[:width], kept[:width]
+    x.fill(x0)
+    ends = np.cumsum(counts)
+    frozen = rounds * width
+    for first in range(0, rounds, len(held)):
+        reads = held[: min(len(held), rounds - first), :width]
+        for rng, lo, hi in zip(rngs, ends - counts, ends):
+            reads[:, lo:hi] = sample_readings(spec.noise, spec.rules, rng, (len(reads), hi - lo), sampling)
+        for row in reads:
+            # a lost read takes a clipped label; the mask discards it
+            spec.noise.labels.take(row, out=y, mode="clip")
+            frozen -= np.count_nonzero(np.not_equal(row, LOST, out=kept))
+            np.add(spec.drift(x), np.multiply(spec.gain(x), y, out=y), out=y)
+            np.copyto(x, y, where=kept)
+    return np.split(x, ends[:-1]), frozen
 
 
 def _merge_histograms(parts: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
@@ -152,15 +171,21 @@ def simulate_game(spec: GameSpec, x0: float, rounds: int, trials: int, seed: int
 
     Lost readings freeze the trial for that round.  Trials are partitioned
     into fixed blocks of 4096 with one generator substream each, so any
-    execution order of the blocks reproduces the same run.  Blocks run on
+    execution order of the blocks reproduces the same run.  Consecutive
+    blocks run side by side in slabs: each block draws its chunk of rounds
+    from its own substream through :func:`~qal.core.sample_readings`, and
+    each round updates the whole slab at once, so the calls that hold the
+    interpreter lock fall with the slab width.  Every usable CPU gets a
+    slab, and the slabs' states stay within ``CHUNK_VALUES``.  Slabs run on
     one thread per usable CPU (:func:`~qal.grid.ordered_map`), so ``spec``'s
     maps are called from worker threads, and the run is bit for bit the same
     at any core count.  The threads split one budget of readings held at
-    once, and no thread's share is under eight rounds: a game of fewer than
-    16 rounds runs inline.  Each block is reduced to its histogram at once;
-    in block order, the block histograms are merged once they outnumber the
-    merged one, so memory is O(distinct final states + two blocks per
-    thread) and a run of all-distinct finals sorts O(log blocks) times.
+    once, and no thread's share is under four rounds: on two CPUs a game of
+    fewer than 8 rounds runs inline.  Each block is reduced to its histogram
+    at once; in block order, the block histograms are merged once they
+    outnumber the merged one, so memory is O(distinct final states + two
+    slabs per thread) and a run of all-distinct finals sorts O(log blocks)
+    times.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -169,28 +194,35 @@ def simulate_game(spec: GameSpec, x0: float, rounds: int, trials: int, seed: int
     # the readings held at once, shared by the threads in whole rounds
     width = min(trials, _BLOCK)
     budget_rounds = min(CHUNK_VALUES, rounds * width) // width
+    blocks = -(-trials // _BLOCK)
+    cpus = usable_cpus()
+    # every CPU gets a slab, and the slabs' states and updates, two values a
+    # trial, hold at most CHUNK_VALUES
+    slab = max(1, min(-(-blocks // cpus), CHUNK_VALUES // (2 * cpus * width)))
 
     def scratch(cores):
         sets = max(1, min(cores, budget_rounds // _THREAD_ROUNDS))
-        return [reading_work(max(1, budget_rounds // sets) * width) for _ in range(sets)]
+        return [_slab_work(spec, max(1, budget_rounds // sets), width, slab) for _ in range(sets)]
 
-    starts = range(0, trials, _BLOCK)
-    streams = np.random.SeedSequence(seed).spawn(len(starts))
+    streams = np.random.SeedSequence(seed).spawn(blocks)
+    firsts = range(0, blocks, slab)
 
-    def block(start, work):
-        rng = np.random.default_rng(streams[start // _BLOCK])
-        x, frozen = _simulate_block(spec, x0, rounds, rng, min(_BLOCK, trials - start), work)
-        return np.unique(x, return_counts=True), int(frozen.sum())
+    def run_slab(first, work):
+        members = range(first, min(first + slab, blocks))
+        counts = [min(_BLOCK, trials - b * _BLOCK) for b in members]
+        rngs = [np.random.default_rng(streams[b]) for b in members]
+        finals, frozen = _simulate_slab(spec, x0, rounds, rngs, counts, work)
+        return [np.unique(x, return_counts=True) for x in finals], frozen
 
-    blocks = ordered_map(block, starts, scratch)
     merged = (np.empty(0), np.empty(0, dtype=np.int64))
     pending, held, frozen_total = [], 0, 0
-    for start, (histogram, frozen) in zip(starts, blocks):
-        pending.append(histogram)
-        held += histogram[0].size
+    for first, (histograms, frozen) in zip(firsts, ordered_map(run_slab, firsts, scratch)):
         frozen_total += frozen
-        if held >= max(merged[0].size, _BLOCK) or start + _BLOCK >= trials:
-            merged, pending, held = _merge_histograms([merged, *pending]), [], 0
+        for b, histogram in enumerate(histograms, first):
+            pending.append(histogram)
+            held += histogram[0].size
+            if held >= max(merged[0].size, _BLOCK) or b + 1 == blocks:
+                merged, pending, held = _merge_histograms([merged, *pending]), [], 0
     return GameRun(*merged, frozen_total, trials=trials, rounds=rounds, seed=seed)
 
 
@@ -349,6 +381,8 @@ def endpoint_constraints(
     game's loss rates; only pairs of paths that land on the same node from
     the given start are constrained against each other.
     """
+    if steps < 1:
+        raise ValueError("need at least one round")
     coupling = symmetric_coupling(spec.noise, spec.rules.loss_rates)
     # ends, counts, np.unique's sort, stable order, run lengths: 48.0 B a path, all ends distinct
     check_dense_budget(spec.noise.m**steps, 1, 48, "endpoint walk")

@@ -17,7 +17,6 @@ from qal.core import (
     BareDistribution,
     QRuleParams,
     effective_distribution,
-    reading_work,
     sample_readings,
 )
 from qal.errors import DimensionMismatch, OffGridImage, SizeGuardExceeded
@@ -27,7 +26,8 @@ from qal.markov import (
     GameSpec,
     _image_table,
     _path_ends,
-    _simulate_block,
+    _simulate_slab,
+    _slab_work,
     amplitude_propagate,
     effective_kernel,
     endpoint_constraints,
@@ -203,36 +203,52 @@ class TestSimulateGame:
         spec = walk()
         trials = 10_000  # two whole blocks and a partial one
         reference = simulate_game(spec, 0.0, 3, trials, seed=9)
-        finals = np.empty(trials)
-        frozen = np.empty(trials, dtype=np.int64)
-        starts = list(range(0, trials, _BLOCK))
-        for begin, stream in sorted(zip(starts, block_streams(9, trials)), reverse=True):
-            count = min(_BLOCK, trials - begin)
-            rng = np.random.default_rng(stream)
-            block = _simulate_block(spec, 0.0, 3, rng, count, reading_work(3 * count))
-            finals[begin : begin + count], frozen[begin : begin + count] = block
-        assert_same_run(reference, *histogram(finals), frozen.sum())
+        # last block first, in slabs of one, two and three blocks, two rounds a draw
+        blocks = list(zip(range(0, trials, _BLOCK), block_streams(9, trials)))[::-1]
+        for slab in (1, 2, 3):
+            finals = np.empty(trials)
+            frozen_total = 0
+            work = _slab_work(spec, 2, _BLOCK, slab)
+            for group in (blocks[i : i + slab] for i in range(0, len(blocks), slab)):
+                counts = [min(_BLOCK, trials - begin) for begin, _ in group]
+                rngs = [np.random.default_rng(stream) for _, stream in group]
+                states, frozen = _simulate_slab(spec, 0.0, 3, rngs, counts, work)
+                for (begin, _), x in zip(group, states):
+                    finals[begin : begin + x.size] = x
+                frozen_total += frozen
+            assert_same_run(reference, *histogram(finals), frozen_total)
 
-    @given(st.integers(0, 2**32 - 1))
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(CORE_COUNTS))
     @settings(max_examples=30, deadline=None)
-    def test_bitwise_equal_to_per_round_oracle(self, seed):
+    def test_bitwise_equal_to_per_round_oracle(self, seed, cores):
         rng = np.random.default_rng(seed)
         rounds = int(rng.integers(0, 80))  # past one 32-round chunk of a 4096 block
-        trials = int(rng.integers(1, 3 * _BLOCK))  # one block, or several with a partial last
+        slab, chunk = int(rng.integers(1, 4)), int(rng.integers(1, 33))
+        # one block, or past one slab, mostly ending in a partial slab and a partial block
+        trials = int(rng.integers(1, (2 * slab + 2) * _BLOCK))
         # |x| <= 7 maps into itself for |y| <= 3: no overflow however many rounds
         drift = make_map("quadratic", slope=0.5, curvature=float(rng.uniform(-0.01, 0.01)))
         spec = random_game(rng, drift)
-        # every block, trial by trial, drawing through one reused set of buffers
-        work = reading_work(qal.grid.CHUNK_VALUES)
-        for begin, stream in zip(range(0, trials, _BLOCK), block_streams(seed, trials)):
-            count = min(_BLOCK, trials - begin)
-            oracle = per_round_block(spec, 0.0, rounds, np.random.default_rng(stream), count)
-            block = _simulate_block(spec, 0.0, rounds, np.random.default_rng(stream), count, work)
-            assert np.array_equal(block[0], oracle[0])
-            assert np.array_equal(block[1], oracle[1])
-        finals, frozen = per_round_game(spec, 0.0, rounds, trials, seed)
-        run = simulate_game(spec, 0.0, rounds, trials, seed)
-        assert_same_run(run, *histogram(finals), frozen.sum())
+        blocks = list(zip(range(0, trials, _BLOCK), block_streams(seed, trials)))
+        oracles = [
+            per_round_block(spec, 0.0, rounds, np.random.default_rng(stream), min(_BLOCK, trials - begin))
+            for begin, stream in blocks
+        ]
+        # every slab, trial by trial, drawing through one reused set of buffers
+        work = _slab_work(spec, chunk, _BLOCK, slab)
+        for i in range(0, len(blocks), slab):
+            counts = [min(_BLOCK, trials - begin) for begin, _ in blocks[i : i + slab]]
+            rngs = [np.random.default_rng(stream) for _, stream in blocks[i : i + slab]]
+            states, frozen = _simulate_slab(spec, 0.0, rounds, rngs, counts, work)
+            for x, oracle in zip(states, oracles[i : i + slab], strict=True):
+                assert np.array_equal(x, oracle[0])
+            assert frozen == sum(int(oracle[1].sum()) for oracle in oracles[i : i + slab])
+        finals = np.concatenate([oracle[0] for oracle in oracles])
+        frozen_total = sum(int(oracle[1].sum()) for oracle in oracles)
+        with pytest.MonkeyPatch.context() as patch:
+            usable_cores(patch, cores)
+            run = simulate_game(spec, 0.0, rounds, trials, seed)
+        assert_same_run(run, *histogram(finals), frozen_total)
 
     def test_all_distinct_finals_merge_exactly_and_rarely(self, monkeypatch):
         # a lossless contracting quadratic drift over 48 rounds: every trial's
@@ -772,6 +788,15 @@ class TestEndpointConstraints:
         self.forbid_pair_arrays(monkeypatch)
         with pytest.raises(Charged):
             endpoint_constraints(still_walk(), integer_grid(3), 0.0, 12)
+
+    @pytest.mark.parametrize("steps", [0, -1])
+    def test_fewer_than_one_round_refused_before_the_image_table(self, monkeypatch, steps):
+        def no_table(*args):
+            raise AssertionError("image table built")
+
+        monkeypatch.setattr(qal.markov, "_image_table", no_table)
+        with pytest.raises(ValueError, match="need at least one round"):
+            endpoint_constraints(walk(), integer_grid(4), 0.0, steps)
 
     def test_walk_charged_before_walking(self):
         # 48 B x 2^40 label paths, refused before any end node exists
