@@ -45,8 +45,8 @@ __all__ = [
 _BLOCK = 4096  # trials per generator substream: the fixed partition of a run
 # fewest rounds of readings a thread's chunk holds: with fewer, a slab spends
 # most of its time holding the interpreter lock.  On 2 CPUs, two threads took
-# 1.65x and 1.13x the one-thread time at 2 and 4 rounds, 0.72x and 0.66x at 8
-# and 12 (+-1 walk, 8e6 trial-rounds, medians of 7)
+# 1.4-1.7x and 1.1-1.3x the one-thread time at 2 and 4 rounds, 0.7-0.8x at 8
+# and 0.7x at 12 (+-1 walk, 8e6 trial-rounds, medians of 7, two runs)
 _THREAD_ROUNDS = 4
 
 
@@ -124,11 +124,10 @@ class GameRun:
 
 def _slab_work(spec: GameSpec, chunk: int, width: int, slab: int) -> tuple:
     """Buffers for slabs of up to ``slab`` blocks of up to ``width`` trials, ``chunk`` rounds a draw."""
-    # readings in the smallest integer type that holds LOST..M-1
-    reading = np.result_type(np.min_scalar_type(LOST), np.min_scalar_type(spec.noise.m - 1))
-    held = np.empty((chunk, slab * width), reading)
-    states = np.empty((2, slab * width))
-    return reading_work(spec.noise, spec.rules, chunk * width), held, *states, np.empty(slab * width, bool)
+    trials = slab * width
+    # readings shifted up by one, 0 for LOST, in the smallest integer type that holds 0..M
+    held = np.empty((chunk, trials), np.min_scalar_type(spec.noise.m))
+    return reading_work(spec.noise, spec.rules, chunk * width), held, np.empty(trials), np.empty(trials, bool)
 
 
 def _simulate_slab(
@@ -139,22 +138,26 @@ def _simulate_slab(
     Each block draws its chunk of rounds from its own generator; the
     readings sit side by side, so each round updates the whole slab at once.
     """
-    sampling, held, x, y, kept = work
+    sampling, held, y, kept = work
     width = sum(counts)
-    x, y, kept = x[:width], y[:width], kept[:width]
-    x.fill(x0)
+    y, kept = y[:width], kept[:width]
+    x = np.full(width, float(x0))
+    # the label of each shifted reading; a lost one takes the first label, which the mask discards
+    labels = spec.noise.labels.take(np.arange(LOST, spec.noise.m), mode="clip")
     ends = np.cumsum(counts)
     frozen = rounds * width
     for first in range(0, rounds, len(held)):
         reads = held[: min(len(held), rounds - first), :width]
         for rng, lo, hi in zip(rngs, ends - counts, ends):
-            reads[:, lo:hi] = sample_readings(spec.noise, spec.rules, rng, (len(reads), hi - lo), sampling)
+            block = sample_readings(spec.noise, spec.rules, rng, (len(reads), hi - lo), sampling)
+            np.subtract(block, LOST, out=reads[:, lo:hi], casting="unsafe")
         for row in reads:
-            # a lost read takes a clipped label; the mask discards it
-            spec.noise.labels.take(row, out=y, mode="clip")
-            frozen -= np.count_nonzero(np.not_equal(row, LOST, out=kept))
+            # indices never below 0 and a select without a branch per trial: np.copyto's
+            # where= and a take clipping LOST each took about twice as long
+            labels.take(row, out=y, mode="clip")
+            frozen -= np.count_nonzero(np.not_equal(row, 0, out=kept))
             np.add(spec.drift(x), np.multiply(spec.gain(x), y, out=y), out=y)
-            np.copyto(x, y, where=kept)
+            x = np.where(kept, y, x)
     return np.split(x, ends[:-1]), frozen
 
 
