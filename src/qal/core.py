@@ -249,7 +249,9 @@ def symmetrizing_misreads(bare: BareDistribution, loss_rates) -> QRuleParams:
     return QRuleParams(gamma, misreads)
 
 
-def reading_work(bare: BareDistribution, rules: QRuleParams, draws: int) -> tuple[np.ndarray, ...]:
+def reading_work(
+    bare: BareDistribution, rules: QRuleParams, draws: int
+) -> tuple[np.ndarray, ...]:
     """The channel's tables and buffers for :func:`sample_readings` calls of up to ``draws`` readings.
 
     The cumulative weights, read edges and outcome table depend on the

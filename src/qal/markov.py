@@ -123,11 +123,11 @@ class GameRun:
 
 
 def _slab_work(spec: GameSpec, chunk: int, width: int, slab: int) -> tuple:
-    """Buffers for slabs of up to ``slab`` blocks of up to ``width`` trials, ``chunk`` rounds a draw."""
-    trials = slab * width
+    """Buffers for slabs of up to ``slab`` blocks of ``width`` trials, ``chunk`` rounds a draw."""
+    sampling = reading_work(spec.noise, spec.rules, chunk * width)
     # readings shifted up by one, 0 for LOST, in the smallest integer type that holds 0..M
-    held = np.empty((chunk, trials), np.min_scalar_type(spec.noise.m))
-    return reading_work(spec.noise, spec.rules, chunk * width), held, np.empty(trials), np.empty(trials, bool)
+    held = np.empty((chunk, slab * width), np.min_scalar_type(spec.noise.m))
+    return sampling, held, np.empty(slab * width), np.empty(slab * width, bool)
 
 
 def _simulate_slab(
@@ -152,8 +152,8 @@ def _simulate_slab(
             block = sample_readings(spec.noise, spec.rules, rng, (len(reads), hi - lo), sampling)
             np.subtract(block, LOST, out=reads[:, lo:hi], casting="unsafe")
         for row in reads:
-            # indices never below 0 and a select without a branch per trial: np.copyto's
-            # where= and a take clipping LOST each took about twice as long
+            # shifted readings never clip, and np.where selects without a branch per
+            # trial: a take clipping LOST and np.copyto(where=) each took about twice as long
             labels.take(row, out=y, mode="clip")
             frozen -= np.count_nonzero(np.not_equal(row, 0, out=kept))
             np.add(spec.drift(x), np.multiply(spec.gain(x), y, out=y), out=y)

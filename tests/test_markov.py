@@ -231,8 +231,8 @@ class TestSimulateGame:
         spec = random_game(rng, drift)
         blocks = list(zip(range(0, trials, _BLOCK), block_streams(seed, trials)))
         oracles = [
-            per_round_block(spec, 0.0, rounds, np.random.default_rng(stream), min(_BLOCK, trials - begin))
-            for begin, stream in blocks
+            per_round_block(spec, 0.0, rounds, np.random.default_rng(s), min(_BLOCK, trials - b))
+            for b, s in blocks
         ]
         # every slab, trial by trial, drawing through one reused set of buffers
         work = _slab_work(spec, chunk, _BLOCK, slab)
