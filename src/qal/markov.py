@@ -132,8 +132,8 @@ def _slab_work(spec: GameSpec, chunk: int, width: int, slab: int) -> tuple:
 
 def _simulate_slab(
     spec: GameSpec, x0: float, rounds: int, rngs: list, counts: list[int], work: tuple
-) -> tuple[list[np.ndarray], int]:
-    """Final states of blocks run side by side, one generator each, and their frozen total.
+) -> tuple[np.ndarray, int]:
+    """Final states of blocks run side by side, block after block in one array, and frozen total.
 
     Each block draws its chunk of rounds from its own generator; the
     readings sit side by side, so each round updates the whole slab at once.
@@ -158,7 +158,7 @@ def _simulate_slab(
             frozen -= np.count_nonzero(np.not_equal(row, 0, out=kept))
             np.add(spec.drift(x), np.multiply(spec.gain(x), y, out=y), out=y)
             x = np.where(kept, y, x)
-    return np.split(x, ends[:-1]), frozen
+    return x, frozen
 
 
 def _merge_histograms(parts: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
@@ -184,10 +184,10 @@ def simulate_game(spec: GameSpec, x0: float, rounds: int, trials: int, seed: int
     maps are called from worker threads, and the run is bit for bit the same
     at any core count.  The threads split one budget of readings held at
     once, and no thread's share is under four rounds: on two CPUs a game of
-    fewer than 8 rounds runs inline.  Each block is reduced to its histogram
-    at once; in block order, the block histograms are merged once they
+    fewer than 8 rounds runs inline.  Each slab is reduced to its histogram
+    at once; in slab order, the slab histograms are merged once they
     outnumber the merged one, so memory is O(distinct final states + two
-    slabs per thread) and a run of all-distinct finals sorts O(log blocks)
+    slabs per thread) and a run of all-distinct finals sorts O(log slabs)
     times.
     """
     if trials < 1:
@@ -215,17 +215,16 @@ def simulate_game(spec: GameSpec, x0: float, rounds: int, trials: int, seed: int
         counts = [min(_BLOCK, trials - b * _BLOCK) for b in members]
         rngs = [np.random.default_rng(streams[b]) for b in members]
         finals, frozen = _simulate_slab(spec, x0, rounds, rngs, counts, work)
-        return [np.unique(x, return_counts=True) for x in finals], frozen
+        return np.unique(finals, return_counts=True), frozen
 
     merged = (np.empty(0), np.empty(0, dtype=np.int64))
     pending, held, frozen_total = [], 0, 0
-    for first, (histograms, frozen) in zip(firsts, ordered_map(run_slab, firsts, scratch)):
+    for first, (histogram, frozen) in zip(firsts, ordered_map(run_slab, firsts, scratch)):
         frozen_total += frozen
-        for b, histogram in enumerate(histograms, first):
-            pending.append(histogram)
-            held += histogram[0].size
-            if held >= max(merged[0].size, _BLOCK) or b + 1 == blocks:
-                merged, pending, held = _merge_histograms([merged, *pending]), [], 0
+        pending.append(histogram)
+        held += histogram[0].size
+        if held >= max(merged[0].size, _BLOCK) or first + slab >= blocks:
+            merged, pending, held = _merge_histograms([merged, *pending]), [], 0
     return GameRun(*merged, frozen_total, trials=trials, rounds=rounds, seed=seed)
 
 

@@ -55,7 +55,7 @@ __all__ = [
 ]
 
 #: resident bytes a pair costs while a constraint set is built (indices, codes, np.unique's
-#: sort, inverse): 67.1, 65.8, 66.8 B at M=2 N=11, 12, M=3 N=7; 74.3 B at 2^20 endpoint paths
+#: sort, inverse): 65.8, 65.5, 66.1 B at M=2 N=11, 12, M=3 N=7; 73.1 B at 2^20 endpoint paths
 PAIR_BYTES = 80
 
 #: resident bytes a path costs in a phase solve (component labels and counts, the
@@ -202,22 +202,18 @@ def xi_sum(bare: BareDistribution, coupling: CouplingMatrix, n: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _labels_of(index: np.ndarray, m: int, n: int) -> np.ndarray:
-    """Labels of N-round paths: the base-M digits of indices in [0, M^N), most significant first."""
+def all_paths(m: int, n: int) -> np.ndarray:
+    """All M^N classical paths in lexicographic order: row p holds p's base-M digits."""
+    if n < 1:
+        raise ValueError("need at least one round")
+    # rows, index and a chunk: 8.09, 8.42 B resident a cell of M^N x (N + 1) at M=2 N=20, 18
+    check_dense_budget(m**n, n + 1, 9, "classical paths")
+    index = np.arange(m**n)
     labels = np.empty((index.size, n), dtype=np.int64)
     rows = max(1, CHUNK_VALUES // n)
     for lo in range(0, index.size, rows):
         labels[lo : lo + rows] = np.transpose(np.unravel_index(index[lo : lo + rows], (m,) * n))
     return labels
-
-
-def all_paths(m: int, n: int) -> np.ndarray:
-    """All M^N classical paths in lexicographic order, as an (M^N, N) array."""
-    if n < 1:
-        raise ValueError("need at least one round")
-    # rows, index and a chunk: 8.09, 8.42 B resident a cell of M^N x (N + 1) at M=2 N=20, 18
-    check_dense_budget(m**n, n + 1, 9, "classical paths")
-    return _labels_of(np.arange(m**n), m, n)
 
 
 def path_radices(bare: BareDistribution, n: int) -> np.ndarray:
@@ -277,11 +273,11 @@ def constraints_for_pairs(
     """Constraint set over an explicit list of pairs of N-round path indices.
 
     Used directly by the game module, where only paths sharing an endpoint
-    are constrained against each other.  One pass over the pairs, in chunks
-    of ``CHUNK_VALUES`` labels read off the indices, codes each pair's
-    per-round unordered label pattern as an int64 in base M^2 (M^(2N) above
-    2^64 is refused).  A group is its code: its target, the product over
-    rounds of ``d[min, max]``, is read off the code's uint64 digits.
+    are constrained against each other.  One pass over the pairs, in chunks,
+    codes each pair's per-round unordered label pattern as an int64 in base
+    M^2 (M^(2N) above 2^64 is refused) off the indices: path p's label in
+    round r is its digit p // M^(N-1-r) % M.  A group is its code: its target,
+    the product over rounds of ``d[min, max]``, is read off its uint64 digits.
     """
     if coupling.m != bare.m:
         raise DimensionMismatch("coupling size does not match the distribution")
@@ -297,15 +293,18 @@ def constraints_for_pairs(
     check_dense_budget(pair_i.size, 1, PAIR_BYTES, "phase constraints")
     weights = (m * m) ** np.arange(n, dtype=np.int64)
     rows = CHUNK_VALUES // n
-    codes = np.empty(pair_i.size, dtype=np.int64)
+    codes = np.zeros(pair_i.size, dtype=np.int64)
     for lo in range(0, codes.size, rows):
-        a = _labels_of(pair_i[lo : lo + rows], m, n)
-        b = _labels_of(pair_j[lo : lo + rows], m, n)
-        pattern = np.minimum(a, b) * m + np.maximum(a, b)  # round r: digit r, base M^2
-        codes[lo : lo + rows] = (pattern * weights).sum(axis=1)
+        a, b, code = pair_i[lo : lo + rows], pair_j[lo : lo + rows], codes[lo : lo + rows]
+        for weight in weights[::-1]:  # the last round is an index's lowest digit
+            a, x = np.divmod(a, m)
+            b, y = np.divmod(b, m)
+            code += (np.minimum(x, y) * m + np.maximum(x, y)) * weight  # int64 wraps past 2^63
+        if a.any() or b.any():  # an index past M^N keeps a quotient, a negative one stays below 0
+            raise ValueError(f"path index out of bounds for {m}^{n} paths")
     codes, inverse = np.unique(codes, return_inverse=True)
     factor = np.where(np.eye(m, dtype=bool), 1.0, coupling.d).ravel()  # at min * M + max
-    codes, weights = codes.view(np.uint64), weights.view(np.uint64)  # int64 wraps past 2^63
+    codes, weights = codes.view(np.uint64), weights.view(np.uint64)  # decode past 2^63
     targets = np.empty(codes.size)
     for lo in range(0, codes.size, rows):
         digits = codes[lo : lo + rows, None] // weights % np.uint64(m * m)
@@ -416,35 +415,32 @@ def _group_jacobian(constraints: ConstraintSet, phi: np.ndarray) -> np.ndarray:
 def _components(constraints: ConstraintSet) -> tuple[np.ndarray, np.ndarray]:
     """Each path's component, named by its smallest path index, and each component's groups.
 
-    Pairs are edges; if they leave several components with pairs, each pair is also tied
-    to a path of its radix group, so no group straddles two.  Min-label propagation with
-    pointer jumping, over chunks of pairs, holds O(paths), and O(groups) only then.
+    Pairs are edges, and each is also tied to ``member``, a path of its radix group, so no
+    group straddles two components.  Min-label propagation with pointer jumping, over chunks
+    of pairs and groups, holds O(paths + groups); ``member``, built before :func:`solve_phases`
+    can refuse a system, takes the smallest type that holds a path index.
     """
     ii, jj, ginv = constraints.pair_i, constraints.pair_j, constraints.group_inverse
-    chunks = [slice(lo, lo + CHUNK_VALUES // 16) for lo in range(0, ii.size, CHUNK_VALUES // 16)]
-    k, member = constraints.n_paths, None
-    label = np.arange(k)
-    while True:
-        new = label.copy()
+    k, step = constraints.n_paths, CHUNK_VALUES // 16
+    chunks = [slice(lo, lo + step) for lo in range(0, ii.size, step)]
+    member = np.empty(constraints.n_groups, np.min_scalar_type(k - 1))
+    for part in chunks:
+        member[ginv[part]] = ii[part]
+    label, new = None, np.arange(k)
+    while not np.array_equal(new, label):
+        label, new = new, new.copy()
         for part in chunks:
-            ends = [ii[part], jj[part]] + ([] if member is None else [member[ginv[part]]])
-            low = np.minimum.reduce([label[e] for e in ends])
+            # members as intp: take and minimum.at ran about 2x and 1.5x slower on uint16
+            ends = (ii[part], jj[part], member[ginv[part]].astype(np.intp))
+            low = np.minimum(np.minimum(label[ends[0]], label[ends[1]]), label[ends[2]])
             for e in ends:
                 np.minimum.at(new, e, low)
         while not np.array_equal(new[new], new):
             new = new[new]
-        if not np.array_equal(new, label):
-            label = new
-        elif member is None and np.count_nonzero(np.bincount(label) > 1) > 1:
-            member = np.empty(constraints.n_groups, dtype=np.int64)
-            for part in chunks:
-                member[ginv[part]] = ii[part]
-        else:
-            break
-    groups = np.zeros(k)  # each group's pairs add 1/size each to their component
-    for part in chunks:
-        groups += np.bincount(label[ii[part]], 1.0 / constraints.group_sizes[ginv[part]], k)
-    return label, np.rint(groups).astype(np.int64)
+    groups = np.zeros(k, dtype=np.int64)
+    for lo in range(0, member.size, step):
+        np.add.at(groups, label[member[lo : lo + step]], 1)
+    return label, groups
 
 
 def _minimax(system: ConstraintSet, k: int, tol: float, restarts: int, seed: int) -> tuple:

@@ -213,7 +213,7 @@ class TestSimulateGame:
                 counts = [min(_BLOCK, trials - begin) for begin, _ in group]
                 rngs = [np.random.default_rng(stream) for _, stream in group]
                 states, frozen = _simulate_slab(spec, 0.0, 3, rngs, counts, work)
-                for (begin, _), x in zip(group, states):
+                for (begin, _), x in zip(group, np.split(states, np.cumsum(counts)[:-1])):
                     finals[begin : begin + x.size] = x
                 frozen_total += frozen
             assert_same_run(reference, *histogram(finals), frozen_total)
@@ -240,7 +240,9 @@ class TestSimulateGame:
             counts = [min(_BLOCK, trials - begin) for begin, _ in blocks[i : i + slab]]
             rngs = [np.random.default_rng(stream) for _, stream in blocks[i : i + slab]]
             states, frozen = _simulate_slab(spec, 0.0, rounds, rngs, counts, work)
-            for x, oracle in zip(states, oracles[i : i + slab], strict=True):
+            assert states.size == sum(counts)
+            for x, oracle in zip(np.split(states, np.cumsum(counts)[:-1]), oracles[i : i + slab],
+                                 strict=True):
                 assert np.array_equal(x, oracle[0])
             assert frozen == sum(int(oracle[1].sum()) for oracle in oracles[i : i + slab])
         finals = np.concatenate([oracle[0] for oracle in oracles])
@@ -307,21 +309,33 @@ class TestSimulateGame:
             noise=walk().noise,
             rules=QRuleParams.lossless(2),
         )
-        merge = qal.markov._merge_histograms
-        runs, merges = [], []
+        merge, simulate = qal.markov._merge_histograms, qal.markov._simulate_slab
+        runs, merges, slabs = [], [], []
         for cores in CORE_COUNTS:
             usable_cores(monkeypatch, cores)
             merges.append([])
+            slabs.append([])
             monkeypatch.setattr(
                 qal.markov,
                 "_merge_histograms",
                 lambda parts, calls=merges[-1]: calls.append(len(parts)) or merge(parts),
             )
+            monkeypatch.setattr(
+                qal.markov,
+                "_simulate_slab",
+                lambda *args, seen=slabs[-1]: seen.append(len(args[4])) or simulate(*args),
+            )
             runs.append(simulate_game(spec, 0.0, 48, 16 * _BLOCK + 100, 5))
         assert runs[0].values.size == 16 * _BLOCK + 100
-        for run, calls in zip(runs[1:], merges[1:]):
+        for run in runs[1:]:
             assert_same_run(run, runs[0].values, runs[0].counts, 0)
-            assert calls == merges[0]
+        # the slab width follows the core count, and each slab is one histogram: at
+        # every count, each slab's is merged once, and O(log slabs) merges sort
+        assert len({len(blocks) for blocks in slabs}) > 1
+        for calls, blocks in zip(merges, slabs):
+            assert sum(blocks) == 17
+            assert sum(calls) - len(calls) == len(blocks)
+            assert len(calls) <= np.log2(len(blocks)) + 2
 
     def test_block_memory_does_not_grow_with_rounds(self):
         # one 4096-trial block; 2000 rounds of readings at once would be 131 MB

@@ -464,11 +464,22 @@ class TestConstraints:
         cs = endpoint_constraints(triple, grid, 0.0, 16, boundary="wrap")
         assert (len(cs), cs.n_groups) == (14540, 14540)
         assert_first_pair_rule(walk.noise, symmetric_coupling(walk.noise, [0.2, 0.2]), 16, cs)
+        # the README's census of its components: lone pairs, triangles of three
+        # groups, and solver components of at most 6 paths
+        label, groups = qal.paths._components(cs)
+        roots = np.unique(label[cs.pair_i])
+        pairs = np.bincount(label[cs.pair_i], minlength=cs.n_paths)[roots]
+        paths, groups = np.bincount(label, minlength=cs.n_paths)[roots], groups[roots]
+        lone, triangle = pairs == 1, (pairs == 3) & (paths == 3) & (groups == 3)
+        solver = ~lone & ~triangle
+        counts = np.count_nonzero(lone), np.count_nonzero(triangle), np.count_nonzero(solver)
+        assert counts == (9676, 1316, 136)
+        assert paths[solver].max() <= 6
 
     def test_a_group_a_pair_stays_within_the_pair_charge(self):
         # a million random pairs of 20-round paths are nearly a million groups, where
         # per-group arrays cost the most; the charge covers the pair indices too, and
-        # the fixed allowance covers a chunk's label rows of both paths
+        # the fixed allowance covers a chunk's digit temporaries of both paths
         P = bare([0.5, 0.5])
         d = symmetric_coupling(P, [0.2, 0.2])
         pair_i, pair_j = np.random.default_rng(0).integers(0, 2**20, size=(2, 10**6))
@@ -784,6 +795,47 @@ class TestComponents:
         got = qal.paths._group_residuals(cs, assignment.phases)
         assert np.array_equal(report.group_residuals, got)
         assert assignment.phases[3] == assignment.phases[7] == 0.0
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_connected_components_of_the_path_group_graph(self, seed):
+        from scipy.sparse import coo_matrix
+        from scipy.sparse.csgraph import connected_components
+
+        # up to 80 pairs inside two to four disjoint sets of the 2^N <= 64 paths, some
+        # paths in no pair; groups drawn across all pairs, so some straddle two sets
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 7))
+        k = 2**n
+        sets = np.array_split(rng.permutation(k)[: int(rng.integers(1, k + 1))], rng.integers(2, 5))
+        sets = [paths for paths in sets if paths.size]
+        size = int(rng.integers(0, 81))
+        which = rng.integers(0, len(sets), size)
+        pair_i = np.array([rng.choice(sets[w]) for w in which], dtype=np.int64)
+        pair_j = np.array([rng.choice(sets[w]) for w in which], dtype=np.int64)
+        n_groups = int(rng.integers(1, size + 1)) if size else 0
+        ginv = rng.permutation(np.concatenate(
+            (np.arange(n_groups), rng.integers(0, max(n_groups, 1), size - n_groups))
+        ))
+        sizes = np.bincount(ginv, minlength=n_groups)
+        cs = qal.paths.ConstraintSet(2, n, pair_i, pair_j, ginv, sizes, np.zeros(n_groups))
+
+        # nodes: the k paths, then the groups; each pair joins both its paths to its group
+        heads = np.concatenate((pair_i, pair_j))
+        tails = k + np.concatenate((ginv, ginv))
+        graph = coo_matrix((np.ones(heads.size), (heads, tails)), shape=(k + n_groups,) * 2)
+        _, component = connected_components(graph, directed=False)
+        smallest = np.full(component.max() + 1, k)
+        np.minimum.at(smallest, component[:k], np.arange(k))
+        expected_groups = np.bincount(smallest[component[k:]], minlength=k)
+
+        # 1 to 7 pairs and groups a chunk, the last one partial whenever the count allows
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(qal.paths, "CHUNK_VALUES", 16 * int(rng.integers(1, 8)))
+            label, groups = qal.paths._components(cs)
+        assert label.dtype == groups.dtype == np.int64
+        assert np.array_equal(label, smallest[component[:k]])
+        assert np.array_equal(groups, expected_groups)
 
     @given(
         st.tuples(TRIANGLE_TARGET, TRIANGLE_TARGET, TRIANGLE_TARGET),
