@@ -115,14 +115,16 @@ def _convert(key: str, raw, spec: ParamSpec):
     try:
         if spec.kind == "int":
             return int(text)
-        if spec.kind == "float":
-            return float(text)
-        if spec.kind == "floats":
-            if text.endswith(",") or text.startswith(",") or ",," in text:
+        if spec.kind in ("float", "floats"):
+            many = spec.kind == "floats"
+            if many and (text.endswith(",") or text.startswith(",") or ",," in text):
                 raise ConfigError(
                     f"{key}: malformed list {text!r} (dangling separator)"
                 )
-            return [float(part) for part in text.split(",")]
+            values = [float(part) for part in (text.split(",") if many else [text])]
+            if not all(map(math.isfinite, values)):
+                raise ConfigError(f"{key}: expected finite numbers, got {text!r}")
+            return values if many else values[0]
         if spec.kind == "choice":
             if text not in spec.choices:
                 raise ConfigError(

@@ -38,7 +38,7 @@ __all__ = [
     "symmetric_coupling",
     "symmetrizing_misreads",
     "sample_readings",
-    "reading_work",
+    "reading_tables",
 ]
 
 #: Reading outcome marker: the draw was lost and the driven system holds state.
@@ -249,15 +249,12 @@ def symmetrizing_misreads(bare: BareDistribution, loss_rates) -> QRuleParams:
     return QRuleParams(gamma, misreads)
 
 
-def reading_work(
-    bare: BareDistribution, rules: QRuleParams, draws: int
-) -> tuple[np.ndarray, ...]:
-    """The channel's tables and buffers for :func:`sample_readings` calls of up to ``draws`` readings.
+def reading_tables(bare: BareDistribution, rules: QRuleParams) -> tuple[np.ndarray, ...]:
+    """The channel's cumulative weights, read edges and outcome table for :func:`sample_readings`.
 
-    The cumulative weights, read edges and outcome table depend on the
-    channel alone, so a run builds them here once, not per call.
+    They depend on the channel alone, so a run builds them here once, not per call.
     """
-    _check_same_m(bare, rules.m, "reading_work")
+    _check_same_m(bare, rules.m, "reading_tables")
     m = rules.m
     # Column l partitions the read uniform: lost below edges[0, l], misread as
     # others[k - 1, l] from edges[k, l], correct read from edges[m - 1, l] on.
@@ -266,9 +263,7 @@ def reading_work(
     reach = rules.loss_rates + np.cumsum(rules.misreads, axis=0)
     edges = np.vstack([rules.loss_rates, np.take_along_axis(reach, others, axis=0)])
     outcomes = np.vstack([np.full(m, LOST), others, np.arange(m)]).ravel()
-    index = np.empty(draws, np.intp)
-    buffers = np.empty(3 * draws), index, np.empty_like(index), np.empty(draws, bool)
-    return np.cumsum(bare.probs)[:-1], edges, outcomes, *buffers
+    return np.cumsum(bare.probs)[:-1], edges, outcomes
 
 
 def sample_readings(
@@ -276,7 +271,7 @@ def sample_readings(
     rules: QRuleParams,
     rng: np.random.Generator,
     size: int | tuple[int, ...],
-    work: tuple[np.ndarray, ...] | None = None,
+    tables: tuple[np.ndarray, ...] | None = None,
 ) -> np.ndarray:
     """Array of reading outcomes of the given shape; ``LOST`` marks lost draws.
 
@@ -287,19 +282,16 @@ def sample_readings(
     uniforms.  A ``(R, n)`` call therefore consumes the stream exactly as R
     consecutive ``size=n`` calls do and returns the same readings.
 
-    ``work`` from :func:`reading_work` for the same channel lends the call
-    its tables and buffers, so a loop of calls builds and allocates nothing;
-    the readings are then a view into it, valid until the next call with the
-    same ``work``.
+    ``tables`` from :func:`reading_tables` for the same channel spares a
+    loop of calls rebuilding them.
     """
     _check_same_m(bare, rules.m, "sample_readings")
     shape = (size,) if np.ndim(size) == 0 else tuple(size)
-    n = int(np.prod(shape))
-    work = reading_work(bare, rules, n) if work is None else work
-    cumulative, edges, outcomes, uniforms, *buffers = work
-    u = rng.random(out=uniforms[: 2 * n].reshape(shape[:-1] + (2, shape[-1])))
+    cumulative, edges, outcomes = reading_tables(bare, rules) if tables is None else tables
+    u = rng.random(shape[:-1] + (2, shape[-1]))
     true_u, read_u = u[..., 0, :], u[..., 1, :]
-    edge_u, true_idx, pos, mask = (b[:n].reshape(shape) for b in (uniforms[2 * n :], *buffers))
+    true_idx, pos = np.empty(shape, np.intp), np.empty(shape, np.intp)
+    edge_u, mask = np.empty(shape), np.empty(shape, bool)
     # true index: cumulative weights at or below the uniform, the last taken as 1
     np.greater_equal(true_u, cumulative[0], out=true_idx)
     for c in cumulative[1:]:

@@ -26,38 +26,28 @@ def usable_cpus() -> int:
     return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
-def ordered_map(fn, items, scratch):
-    """Yield ``fn(item, buffers)`` for each item of a sequence, in order, one thread per buffer set.
+def ordered_map(fn, items, threads):
+    """Yield ``fn(item)`` for each item of a sequence, in order, on at most ``threads`` threads.
 
-    ``scratch(cores)`` returns the sets, at most one per usable CPU and
-    per item; one set runs inline and starts no thread.  A thread holds one
-    set and runs one item at a time, with at most two items per thread in
-    flight.  Each task runs in a copy of the caller's context, so a caller's
+    The threads number at most the usable CPUs and the items too; one thread
+    runs inline and starts none.  At most two items per thread are in flight.
+    Each task runs in a copy of the caller's context, so a caller's
     ``np.errstate`` holds in it.  A task's exception is raised here, and
     pending tasks are cancelled when it is or when the consumer stops.
     """
     import contextvars
     from concurrent.futures import ThreadPoolExecutor
 
-    stock = scratch(max(1, min(usable_cpus(), len(items))))
-    if len(stock) == 1:
-        yield from (fn(item, stock[0]) for item in items)
+    threads = max(1, min(threads, usable_cpus(), len(items)))
+    if threads == 1:
+        yield from map(fn, items)
         return
-
-    def task(item):
-        buffers = stock.pop()  # never empty: no more tasks run at once than there are sets
-        try:
-            return fn(item, buffers)
-        finally:
-            stock.append(buffers)
-
-    sets = len(stock)
-    pool = ThreadPoolExecutor(sets)
+    pool = ThreadPoolExecutor(threads)
     try:
         pending = []
         for item in items:
-            pending.append(pool.submit(contextvars.copy_context().run, task, item))
-            if len(pending) == 2 * sets:
+            pending.append(pool.submit(contextvars.copy_context().run, fn, item))
+            if len(pending) == 2 * threads:
                 yield pending.pop(0).result()
         for future in pending:
             yield future.result()

@@ -20,7 +20,7 @@ from .core import (
     BareDistribution,
     QRuleParams,
     effective_distribution,
-    reading_work,
+    reading_tables,
     sample_readings,
     symmetric_coupling,
 )
@@ -122,34 +122,26 @@ class GameRun:
         return self.frozen_total / self.trials
 
 
-def _slab_work(spec: GameSpec, chunk: int, width: int, slab: int) -> tuple:
-    """Buffers for slabs of up to ``slab`` blocks of ``width`` trials, ``chunk`` rounds a draw."""
-    sampling = reading_work(spec.noise, spec.rules, chunk * width)
-    # readings shifted up by one, 0 for LOST, in the smallest integer type that holds 0..M
-    held = np.empty((chunk, slab * width), np.min_scalar_type(spec.noise.m))
-    return sampling, held, np.empty(slab * width), np.empty(slab * width, bool)
-
-
 def _simulate_slab(
-    spec: GameSpec, x0: float, rounds: int, rngs: list, counts: list[int], work: tuple
+    spec: GameSpec, x0: float, rounds: int, rngs: list, counts: list[int], tables: tuple, chunk: int
 ) -> tuple[np.ndarray, int]:
     """Final states of blocks run side by side, block after block in one array, and frozen total.
 
-    Each block draws its chunk of rounds from its own generator; the
+    Each block draws ``chunk`` rounds at a time from its own generator; the
     readings sit side by side, so each round updates the whole slab at once.
     """
-    sampling, held, y, kept = work
     width = sum(counts)
-    y, kept = y[:width], kept[:width]
-    x = np.full(width, float(x0))
+    x, y, kept = np.full(width, float(x0)), np.empty(width), np.empty(width, bool)
+    # readings shifted up by one, 0 for LOST, in the smallest integer type that holds 0..M
+    held = np.empty((min(chunk, rounds), width), np.min_scalar_type(spec.noise.m))
     # the label of each shifted reading; a lost one takes the first label, which the mask discards
     labels = spec.noise.labels.take(np.arange(LOST, spec.noise.m), mode="clip")
     ends = np.cumsum(counts)
     frozen = rounds * width
-    for first in range(0, rounds, len(held)):
-        reads = held[: min(len(held), rounds - first), :width]
+    for first in range(0, rounds, chunk):
+        reads = held[: rounds - first]
         for rng, lo, hi in zip(rngs, ends - counts, ends):
-            block = sample_readings(spec.noise, spec.rules, rng, (len(reads), hi - lo), sampling)
+            block = sample_readings(spec.noise, spec.rules, rng, (len(reads), hi - lo), tables)
             np.subtract(block, LOST, out=reads[:, lo:hi], casting="unsafe")
         for row in reads:
             # shifted readings never clip, and np.where selects without a branch per
@@ -202,24 +194,22 @@ def simulate_game(spec: GameSpec, x0: float, rounds: int, trials: int, seed: int
     # every CPU gets a slab, and the slabs' states and updates, two values a
     # trial, hold at most CHUNK_VALUES
     slab = max(1, min(-(-blocks // cpus), CHUNK_VALUES // (2 * cpus * width)))
-
-    def scratch(cores):
-        sets = max(1, min(cores, budget_rounds // _THREAD_ROUNDS))
-        return [_slab_work(spec, max(1, budget_rounds // sets), width, slab) for _ in range(sets)]
-
-    streams = np.random.SeedSequence(seed).spawn(blocks)
     firsts = range(0, blocks, slab)
+    threads = max(1, min(cpus, len(firsts), budget_rounds // _THREAD_ROUNDS))
+    chunk = max(1, budget_rounds // threads)
+    tables = reading_tables(spec.noise, spec.rules)
+    streams = np.random.SeedSequence(seed).spawn(blocks)
 
-    def run_slab(first, work):
+    def run_slab(first):
         members = range(first, min(first + slab, blocks))
         counts = [min(_BLOCK, trials - b * _BLOCK) for b in members]
         rngs = [np.random.default_rng(streams[b]) for b in members]
-        finals, frozen = _simulate_slab(spec, x0, rounds, rngs, counts, work)
+        finals, frozen = _simulate_slab(spec, x0, rounds, rngs, counts, tables, chunk)
         return np.unique(finals, return_counts=True), frozen
 
     merged = (np.empty(0), np.empty(0, dtype=np.int64))
     pending, held, frozen_total = [], 0, 0
-    for first, (histogram, frozen) in zip(firsts, ordered_map(run_slab, firsts, scratch)):
+    for first, (histogram, frozen) in zip(firsts, ordered_map(run_slab, firsts, threads)):
         frozen_total += frozen
         pending.append(histogram)
         held += histogram[0].size

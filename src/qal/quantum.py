@@ -146,6 +146,8 @@ class WaveState:
         """Minimum-uncertainty packet: position spread sigma, momentum kick p0."""
         if not sigma > 0.0:
             raise ValueError(f"packet width sigma must be positive, got {sigma}")
+        if not alpha > 0.0:
+            raise ValueError(f"action scale alpha must be positive, got {alpha}")
         x = grid.nodes
         envelope = np.exp(-((x - center) ** 2) / (4.0 * sigma**2))
         phase = np.exp(1j * momentum * x / alpha)
@@ -343,6 +345,8 @@ def momentum_transform(psi: WaveState, alpha: float) -> tuple[np.ndarray, np.nda
     phi(p) = sum_k psi_k exp(-i p x_k / alpha) dx / sqrt(2 pi alpha),
     unitary between the dx and dp weighted norms.
     """
+    if not alpha > 0.0:
+        raise ValueError(f"action scale alpha must be positive, got {alpha}")
     grid = psi.grid
     k = grid.wavenumbers()
     f = np.fft.fft(psi.values)
@@ -414,8 +418,8 @@ def roughness_scan(
     Paths are drawn and reduced a bounded chunk of rows at a time, so memory
     does not grow with ``n_samples``; every drawn value is the one a single
     whole-ensemble draw returns.  The eps values run on one thread per usable
-    CPU (:func:`~qal.grid.ordered_map`), each thread reusing one chunk, and
-    the report is bit for bit the same at any core count.
+    CPU (:func:`~qal.grid.ordered_map`), each reusing a chunk of its own,
+    and the report is bit for bit the same at any core count.
     """
     if mode not in ("quantum", "classical"):
         raise ValueError("mode must be 'quantum' or 'classical'")
@@ -427,13 +431,14 @@ def roughness_scan(
     count = n_samples if mode == "quantum" else 1
     rows = min(count, max(1, CHUNK_VALUES // (n_steps + 1)))
 
-    def point(item, buffers):
+    def point(item):
         eps, stream = item
         rng = np.random.default_rng(stream)
         scale = np.sqrt(eps * params.alpha / params.mass)
+        chunk = np.empty((rows, n_steps + 1)), np.empty((rows, n_steps))
         sums = []
         for first in range(0, count, rows):
-            x, inc = (b[: count - first] for b in buffers)
+            x, inc = (b[: count - first] for b in chunk)
             if mode == "classical":
                 x[0] = eps * np.arange(n_steps + 1)
             else:
@@ -446,11 +451,8 @@ def roughness_scan(
         mean_sq = math.fsum(sums) / (count * n_steps)
         return RoughnessPoint(eps, mean_sq, mean_sq / eps)
 
-    def scratch(sets):
-        return [(np.empty((rows, n_steps + 1)), np.empty((rows, n_steps))) for _ in range(sets)]
-
     streams = np.random.SeedSequence(seed).spawn(len(eps_values))
-    points = ordered_map(point, list(zip(eps_values, streams)), scratch)
+    points = ordered_map(point, list(zip(eps_values, streams)), len(eps_values))
     return RoughnessReport(mode=mode, points=tuple(points))
 
 
@@ -508,11 +510,14 @@ def convergence_study(
     Hamiltonian the kernel splits, so each measured L2 error is the kernel's
     Trotter error alone.  Without a potential or an apodization the kernel is
     exact in time, every error is round-off and there is no order to fit, so
-    that case raises :class:`ConfigError`.
+    that case raises :class:`ConfigError`.  Fewer than two distinct eps
+    values leave no order to fit either and raise ``ValueError``.
     """
     if params.apodization == "none" and not np.any(params.potential_values(grid)):
         raise ConfigError("the kernel is exact in time without a potential or an apodization")
     eps_values = sorted(float(e) for e in eps_values)
+    if len(set(eps_values)) < 2:
+        raise ValueError(f"an order needs at least two distinct eps values, got {eps_values}")
     psi0 = state_factory(grid)
     ref = reference_solver(psi0, params, total_time)
     points = []

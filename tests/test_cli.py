@@ -380,10 +380,34 @@ class TestCommands:
             # the default 21-node grid needs --boundary wrap once an edge node's image leaves it
             (["propagate-game", "--p", ".5,.5", "--steps", "2"],
              "image 11.0 falls outside the grid"),
+            (["uncertainty", "--alpha", "0"], "action scale alpha must be positive, got 0.0"),
+            (["uncertainty", "--alpha", "-1"], "action scale alpha must be positive, got -1.0"),
+            (["quantum-compare", "--eps-ladder", "1e-3"],
+             "an order needs at least two distinct eps values, got [0.001]"),
+            (["quantum-compare", "--eps-ladder", "1e-3,1e-3"],
+             "an order needs at least two distinct eps values, got [0.001, 0.001]"),
         ],
     )
     def test_bad_number_exit_1(self, tmp_path, capsys, argv, message):
         assert run_in(tmp_path, argv + ["--out", "x.csv"]) == 1
+        assert capsys.readouterr().err.strip() == f"qal {argv[0]}: {message}"
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize(
+        "argv, key, text",
+        [
+            (["histogram", "--p", "nan,.5"], "p", "nan,.5"),
+            (["quantum-propagate", "--eps", "nan"], "eps", "nan"),
+            (["roughness", "--mass", "nan"], "mass", "nan"),
+            (["simulate-game", "--p", ".5,.5", "--drift", "linear:nan"], "drift", "nan"),
+            (["simulate-game", "--p", ".5,.5", "--x0", "inf"], "x0", "inf"),
+            (["identity-check", "--p", ".5,.5", "--gamma", "nan,.2", "--n", "2"],
+             "gamma", "nan,.2"),
+        ],
+    )
+    def test_non_finite_number_exit_1(self, tmp_path, capsys, argv, key, text):
+        assert run_in(tmp_path, argv + ["--out", "x.csv"]) == 1
+        message = f"{key}: expected finite numbers, got {text!r}"
         assert capsys.readouterr().err.strip() == f"qal {argv[0]}: {message}"
         assert not (tmp_path / "x.csv").exists()
 

@@ -13,6 +13,7 @@ from qal.core import (
     QRuleParams,
     effective_distribution,
     effective_from_coupling,
+    reading_tables,
     sample_readings,
     symmetric_coupling,
     symmetrizing_misreads,
@@ -275,3 +276,16 @@ class TestSampling:
         a = sample_readings(P, Q, np.random.default_rng(42), 1000)
         b = sample_readings(P, Q, np.random.default_rng(42), 1000)
         assert np.array_equal(a, b)
+
+    def test_calls_sharing_tables_return_arrays_of_their_own(self):
+        P = bare([0.5, 0.3, 0.2])
+        Q = QRuleParams(np.array([0.1, 0.2, 0.3]), np.array([[0, .1, 0], [.1, 0, .2], [0, 0, 0]]))
+        tables = reading_tables(P, Q)
+        rng = np.random.default_rng(8)
+        first = sample_readings(P, Q, rng, 1000, tables)
+        kept = first.copy()
+        second = sample_readings(P, Q, rng, 1000, tables)
+        assert np.array_equal(first, kept)
+        assert not np.shares_memory(first, second)
+        whole = sample_readings(P, Q, np.random.default_rng(8), (2, 1000))
+        assert np.array_equal(np.stack([first, second]), whole)

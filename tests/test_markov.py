@@ -17,6 +17,7 @@ from qal.core import (
     BareDistribution,
     QRuleParams,
     effective_distribution,
+    reading_tables,
     sample_readings,
 )
 from qal.errors import DimensionMismatch, OffGridImage, SizeGuardExceeded
@@ -27,7 +28,6 @@ from qal.markov import (
     _image_table,
     _path_ends,
     _simulate_slab,
-    _slab_work,
     amplitude_propagate,
     effective_kernel,
     endpoint_constraints,
@@ -205,14 +205,14 @@ class TestSimulateGame:
         reference = simulate_game(spec, 0.0, 3, trials, seed=9)
         # last block first, in slabs of one, two and three blocks, two rounds a draw
         blocks = list(zip(range(0, trials, _BLOCK), block_streams(9, trials)))[::-1]
+        tables = reading_tables(spec.noise, spec.rules)
         for slab in (1, 2, 3):
             finals = np.empty(trials)
             frozen_total = 0
-            work = _slab_work(spec, 2, _BLOCK, slab)
             for group in (blocks[i : i + slab] for i in range(0, len(blocks), slab)):
                 counts = [min(_BLOCK, trials - begin) for begin, _ in group]
                 rngs = [np.random.default_rng(stream) for _, stream in group]
-                states, frozen = _simulate_slab(spec, 0.0, 3, rngs, counts, work)
+                states, frozen = _simulate_slab(spec, 0.0, 3, rngs, counts, tables, 2)
                 for (begin, _), x in zip(group, np.split(states, np.cumsum(counts)[:-1])):
                     finals[begin : begin + x.size] = x
                 frozen_total += frozen
@@ -234,12 +234,12 @@ class TestSimulateGame:
             per_round_block(spec, 0.0, rounds, np.random.default_rng(s), min(_BLOCK, trials - b))
             for b, s in blocks
         ]
-        # every slab, trial by trial, drawing through one reused set of buffers
-        work = _slab_work(spec, chunk, _BLOCK, slab)
+        # every slab, trial by trial, drawing through one set of channel tables
+        tables = reading_tables(spec.noise, spec.rules)
         for i in range(0, len(blocks), slab):
             counts = [min(_BLOCK, trials - begin) for begin, _ in blocks[i : i + slab]]
             rngs = [np.random.default_rng(stream) for _, stream in blocks[i : i + slab]]
-            states, frozen = _simulate_slab(spec, 0.0, rounds, rngs, counts, work)
+            states, frozen = _simulate_slab(spec, 0.0, rounds, rngs, counts, tables, chunk)
             assert states.size == sum(counts)
             for x, oracle in zip(np.split(states, np.cumsum(counts)[:-1]), oracles[i : i + slab],
                                  strict=True):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qal.quantum
 from memory_guards import capped_address_space, traced_peak
 from qal.errors import PhaseWrapGuard, SizeGuardExceeded
 from qal.grid import CHUNK_VALUES, StateGrid
@@ -324,6 +325,18 @@ class TestReferenceSolver:
         assert errors[0] < errors[1] < errors[2]  # points sorted by eps ascending
         assert report.fitted_order >= 0.9
 
+    @pytest.mark.parametrize("ladder", [[1e-3], [1e-3, 1e-3]])
+    def test_one_distinct_eps_is_refused_before_the_reference_solve(self, monkeypatch, ladder):
+        def solve(*args):
+            raise AssertionError("the reference solve ran")
+
+        monkeypatch.setattr(qal.quantum, "reference_solver", solve)
+        grid = make_grid(16.0, 0.05)
+        params = ParticleParams(potential="harmonic", omega=1.0)
+        factory = lambda g: WaveState.gaussian(g, center=1.0, sigma=np.sqrt(0.5))
+        with pytest.raises(ValueError, match="at least two distinct eps values"):
+            convergence_study(params, grid, factory, 0.5, ladder)
+
 
 class TestExactReference:
     def test_free_packet_matches_the_symbol_power(self):
@@ -454,6 +467,15 @@ class TestUncertainty:
             assert uncertainty_product(psi, alpha) == pytest.approx(
                 alpha / 2.0, abs=1e-6
             )
+
+    @pytest.mark.parametrize("alpha", [0.0, -1.0])
+    def test_action_scale_must_be_positive(self, alpha):
+        grid = make_grid(14.0, 0.05)
+        with pytest.raises(ValueError, match="alpha must be positive"):
+            WaveState.gaussian(grid, sigma=0.8, alpha=alpha)
+        psi = WaveState.gaussian(grid, sigma=0.8)
+        with pytest.raises(ValueError, match="alpha must be positive"):
+            uncertainty_product(psi, alpha)
 
     def test_floor_over_random_superpositions(self):
         grid = make_grid(16.0, 0.05)
