@@ -7,9 +7,10 @@ default.  Every CSV embeds the fully resolved configuration (with per-key
 provenance), the tool version, and a schema tag that the plot script
 generator keys on.
 
-Exit codes: 0 success, 1 validation error, 2 for runs that completed but
-whose numerical report failed its contract (infeasible phase constraints or
-an uncertified identity).
+Exit codes: 0 success, 1 validation error or a float overflow or invalid
+operation during the run, 2 for runs that completed but whose numerical
+report failed its contract (infeasible phase constraints or an uncertified
+identity).
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .core import (
     QRuleParams,
     effective_distribution,
 )
-from .errors import ConfigError, QalError, UnknownSchema
+from .errors import ConfigError, UnknownSchema
 from .grid import StateGrid
 
 __all__ = [
@@ -51,7 +52,7 @@ class ParamSpec:
     help: str = ""
     choices: tuple[str, ...] = ()
     required: bool = False
-    minimum: int | None = None
+    minimum: float | None = None
 
 
 _CHANNEL = {
@@ -65,7 +66,7 @@ _CHANNEL = {
 
 _PATHS = {
     "n": ParamSpec("int", None, "round count", required=True, minimum=1),
-    "tol": ParamSpec("float", 1e-8, "residual tolerance for the phase solve"),
+    "tol": ParamSpec("float", 1e-8, "residual tolerance for the phase solve", minimum=0.0),
 }
 
 _GAME = {
@@ -107,8 +108,6 @@ class ExperimentConfig:
 
 
 def _convert(key: str, raw, spec: ParamSpec):
-    if raw is None:
-        return None
     if not isinstance(raw, str):
         return raw
     text = raw.strip()
@@ -309,14 +308,8 @@ def _build_channel(params: dict) -> tuple[BareDistribution, QRuleParams]:
         if len(flat) != m * m:
             raise ConfigError(f"misreads: expected {m * m} entries, got {len(flat)}")
         misreads = np.asarray(flat, dtype=float).reshape(m, m)
-    try:
-        bare = BareDistribution(np.asarray(labels, float), np.asarray(p, float))
-        rules = QRuleParams(np.asarray(gamma, float), misreads)
-    except QalError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return bare, rules
+    bare = BareDistribution(np.asarray(labels, float), np.asarray(p, float))
+    return bare, QRuleParams(np.asarray(gamma, float), misreads)
 
 
 _MAPS = {
@@ -364,10 +357,7 @@ def _build_particle(params: dict, eps: float) -> quantum.ParticleParams:
     for key in ("potential", "apodization"):
         kwargs[key], keywords = _parse_shape(key, params[key])
         kwargs.update(keywords)
-    try:
-        return quantum.ParticleParams(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return quantum.ParticleParams(**kwargs)
 
 
 def _make_grid(params: dict) -> StateGrid:
@@ -748,12 +738,18 @@ def run(argv: list[str]) -> int:
         command = COMMANDS[args.command]
         flag_params = {key: getattr(args, key) for key in command.params}
         config = parse_config(args.command, flag_params, args.config, seed=args.seed, out=args.out)
-        code, header, rows, meta = command.handler(config)
+        # an overflow or invalid value would be written as inf or nan: refuse it
+        with np.errstate(all="raise", under="ignore"):
+            code, header, rows, meta = command.handler(config)
         write_csv(config, header, rows, meta)
         return code
-    # a ValueError from the library is a rejected input, not a crash
-    except (QalError, ValueError) as exc:
+    # a ValueError from the library (every QalError is one) is a rejected
+    # input, not a crash, and so is a float error, named by its type
+    except ValueError as exc:
         print(f"qal {args.command}: {exc}", file=sys.stderr)
+        return 1
+    except (FloatingPointError, OverflowError) as exc:
+        print(f"qal {args.command}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
 

@@ -241,8 +241,6 @@ def symmetrizing_misreads(bare: BareDistribution, loss_rates) -> QRuleParams:
     """
     gamma = _vector(loss_rates, "loss_rates")
     _check_same_m(bare, gamma.size, "symmetrizing_misreads")
-    if np.any((gamma < 0.0) | (gamma > 1.0)):
-        raise ValueError("loss rates must lie in [0, 1]")
     gp = gamma * bare.probs
     misreads = gp[:, None] / (2.0 * (bare.m - 1) * bare.probs[None, :])
     np.fill_diagonal(misreads, 0.0)

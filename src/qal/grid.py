@@ -31,9 +31,10 @@ def ordered_map(fn, items, threads):
 
     The threads number at most the usable CPUs and the items too; one thread
     runs inline and starts none.  At most two items per thread are in flight.
-    Each task runs in a copy of the caller's context, so a caller's
-    ``np.errstate`` holds in it.  A task's exception is raised here, and
-    pending tasks are cancelled when it is or when the consumer stops.
+    Each task runs in a copy of the caller's context, so from numpy 2 on,
+    which keeps ``np.errstate`` in a context variable, a caller's errstate
+    holds in it.  A task's exception is raised here, and pending tasks are
+    cancelled when it is or when the consumer stops.
     """
     import contextvars
     from concurrent.futures import ThreadPoolExecutor

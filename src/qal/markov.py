@@ -51,31 +51,27 @@ _THREAD_ROUNDS = 4
 
 
 def make_map(name: str, **params) -> Callable[[np.ndarray], np.ndarray]:
-    """Named state maps for drifts and gains.
+    """Named state maps for drifts and gains; each takes exactly its parameters.
 
     identity: x
     constant(value): value
     linear(slope): slope * x
     quadratic(slope, curvature): slope * x + curvature * x^2
     """
-    if name == "identity":
-        return lambda x: np.asarray(x, dtype=float)
-    if name == "constant":
-        value = float(params["value"])
-        return lambda x: np.full_like(np.asarray(x, dtype=float), value)
-    if name == "linear":
-        slope = float(params["slope"])
-        return lambda x: slope * np.asarray(x, dtype=float)
-    if name == "quadratic":
-        slope = float(params["slope"])
-        curvature = float(params["curvature"])
-
-        def quadratic(x):
-            x = np.asarray(x, dtype=float)
-            return slope * x + curvature * x * x
-
-        return quadratic
-    raise ValueError(f"unknown map name {name!r}")
+    maps = {
+        "identity": ((), lambda x: x),
+        "constant": (("value",), lambda x, value: np.full_like(x, value)),
+        "linear": (("slope",), lambda x, slope: slope * x),
+        "quadratic": (("slope", "curvature"), lambda x, slope, c: slope * x + c * x * x),
+    }
+    if name not in maps:
+        raise ValueError(f"unknown map name {name!r}")
+    names, fn = maps[name]
+    if set(params) != set(names):
+        raise ValueError(f"map {name!r} takes {', '.join(names) or 'no parameters'}, "
+                         f"got {', '.join(sorted(params)) or 'none'}")
+    values = [float(params[key]) for key in names]
+    return lambda x: fn(np.asarray(x, dtype=float), *values)
 
 
 @dataclass(frozen=True, eq=False)

@@ -14,7 +14,9 @@ from hypothesis.extra import numpy as hnp
 import qal
 import qal.cli
 from qal.cli import COMMANDS, emit_plot_script, parse_config, read_csv, run
+from qal.core import BareDistribution, QRuleParams, effective_distribution
 from qal.errors import ConfigError, UnknownSchema
+from test_grid import CORE_COUNTS, usable_cores
 
 
 def run_in(tmp_path, argv):
@@ -103,6 +105,24 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="n.*int"):
             parse_config("census", {"m": "2", "n": "two"}, env={})
 
+    def test_config_line_without_equals_rejected(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("m = 2\nn 1\n")
+        with pytest.raises(ConfigError, match=r"run\.cfg:2: expected 'key = value'"):
+            parse_config("census", {}, str(cfg), env={})
+
+    @pytest.mark.parametrize(
+        "command, flags, seed, message",
+        [
+            ("census", {"m": "2", "n": "1", "p": ".5,.5"}, None, "unknown flag 'p'"),
+            ("census", {"m": "2", "n": "1"}, str(2**64), "seed must fit in 64 unsigned bits"),
+            ("no-such-command", {}, None, "unknown command 'no-such-command'"),
+        ],
+    )
+    def test_bad_flag_seed_or_command_rejected(self, command, flags, seed, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_config(command, flags, seed=seed, env={})
+
 
 class TestCommands:
     def test_histogram_identity_channel(self, tmp_path):
@@ -121,6 +141,14 @@ class TestCommands:
         metadata, _, rows = read_csv(tmp_path / "h.csv")
         assert float(metadata["defect"]) == pytest.approx(0.2, abs=1e-12)
         assert [float(r[3]) for r in rows] == pytest.approx([0.4, 0.4], abs=1e-12)
+
+    def test_histogram_with_misreads(self, tmp_path):
+        argv = ["histogram", "--p", ".5,.5", "--gamma", ".2,.1", "--misreads", "0,.05,.05,0"]
+        assert run_in(tmp_path, argv + ["--out", "h.csv"]) == 0
+        _, _, rows = read_csv(tmp_path / "h.csv")
+        bare = BareDistribution(np.array([0.0, 1.0]), np.array([0.5, 0.5]))
+        rules = QRuleParams(np.array([0.2, 0.1]), np.array([[0.0, 0.05], [0.05, 0.0]]))
+        assert [float(r[3]) for r in rows] == effective_distribution(bare, rules).probs.tolist()
 
     def test_census_rows(self, tmp_path):
         rc = run_in(tmp_path, ["census", "--m", "2", "--n", "2", "--out", "c.csv"])
@@ -386,6 +414,24 @@ class TestCommands:
              "an order needs at least two distinct eps values, got [0.001]"),
             (["quantum-compare", "--eps-ladder", "1e-3,1e-3"],
              "an order needs at least two distinct eps values, got [0.001, 0.001]"),
+            # no residual meets a negative tolerance
+            (["identity-check", "--p", ".5,.5", "--gamma", ".2,.2", "--n", "2", "--tol", "-1"],
+             "tol: expected at least 0.0, got -1.0"),
+            # library refusals print their own message
+            (["histogram", "--p", ".5,.6"], "probabilities must sum to 1, got np.float64(1.1)"),
+            (["quantum-propagate", "--apodization", "gaussian:-1"], "sigma_y must be positive"),
+            (["histogram", "--m", "3", "--p", ".5,.5"], "m: expected 3 probabilities, got 2"),
+            (["histogram", "--p", ".5,.5", "--labels", "0,1,2"], "labels: expected 2 values, got 3"),
+            (["histogram", "--p", ".5,.5", "--gamma", ".1"], "gamma: expected 2 rates, got 1"),
+            (["histogram", "--p", ".5,.5", "--misreads", "0,.1"],
+             "misreads: expected 4 entries, got 2"),
+            (["histogram"], "provide --p or --m"),
+            (["simulate-game", "--p", ".5,.5", "--drift", "cubic:1"],
+             "drift: unknown name 'cubic', expected one of identity, constant, linear, quadratic"),
+            (["propagate-game", "--p", ".5,.5", "--boundary", "flat"],
+             "boundary: expected one of error, wrap, got 'flat'"),
+            (["quantum-propagate", "--grid-nodes", "1"],
+             "grid needs at least two nodes and grid-max > grid-min"),
         ],
     )
     def test_bad_number_exit_1(self, tmp_path, capsys, argv, message):
@@ -425,6 +471,43 @@ class TestCommands:
         assert run_in(tmp_path, argv + ["--out", "x.csv"]) == 1
         assert capsys.readouterr().err.strip() == f"qal {argv[0]}: {message}"
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            # the probe width's square overflows a Python float
+            (["uncertainty", "--sigma0", "1e300"], "OverflowError"),
+            # the state overflows in the game's second round
+            (["simulate-game", "--p", ".5,.5", "--labels", "1e308,-1e308",
+              "--rounds", "3", "--trials", "10"], "FloatingPointError"),
+        ],
+    )
+    def test_float_error_exit_1(self, tmp_path, capsys, argv, error):
+        assert run_in(tmp_path, argv + ["--out", "x.csv"]) == 1
+        assert capsys.readouterr().err.startswith(f"qal {argv[0]}: {error}: ")
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("cores", CORE_COUNTS)
+    def test_threaded_game_overflow_exit_1(self, tmp_path, capsys, monkeypatch, cores):
+        # 25 blocks of 9 rounds run on two threads wherever two CPUs are usable
+        usable_cores(monkeypatch, cores)
+        argv = ["simulate-game", "--p", ".5,.5", "--labels", "1e308,-1e308",
+                "--rounds", "9", "--trials", "100000", "--out", "x.csv"]
+        assert run_in(tmp_path, argv) == 1
+        assert capsys.readouterr().err.startswith("qal simulate-game: FloatingPointError: ")
+        assert not (tmp_path / "x.csv").exists()
+
+    @given(st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_float_errors_refuse_no_identity_check(self, tmp_path_factory, data):
+        # a solve of a valid channel certifies or not; it is never refused
+        m = data.draw(st.integers(2, 5))
+        weights = data.draw(hnp.arrays(float, m, elements=st.floats(0.01, 1.0)))
+        gamma = data.draw(hnp.arrays(float, m, elements=st.floats(0.0, 1.0)))
+        n = data.draw(st.integers(1, 5))
+        cells = [",".join(map(repr, v.tolist())) for v in (weights / weights.sum(), gamma)]
+        argv = ["identity-check", "--p", cells[0], "--gamma", cells[1], "--n", str(n)]
+        assert run_in(tmp_path_factory.mktemp("id"), argv) in (0, 2)
 
     def test_removed_reference_flag_exit_1(self, tmp_path, capsys):
         assert run_in(tmp_path, ["quantum-compare", "--refine", "4"]) == 1

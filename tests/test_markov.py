@@ -145,6 +145,19 @@ class TestMaps:
         with pytest.raises(ValueError):
             make_map("cubic")
 
+    @pytest.mark.parametrize(
+        "name, params, message",
+        [
+            ("linear", {}, "map 'linear' takes slope, got none"),
+            ("quadratic", {"slope": 1.0}, "map 'quadratic' takes slope, curvature, got slope"),
+            ("constant", {"valu": 2.0}, "map 'constant' takes value, got valu"),
+            ("identity", {"slope": 2.0}, "map 'identity' takes no parameters, got slope"),
+        ],
+    )
+    def test_refuses_missing_or_extra_parameters(self, name, params, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make_map(name, **params)
+
 
 def histogram(finals):
     return np.unique(finals, return_counts=True)
