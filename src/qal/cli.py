@@ -312,21 +312,13 @@ def _build_channel(params: dict) -> tuple[BareDistribution, QRuleParams]:
     return bare, QRuleParams(np.asarray(gamma, float), misreads)
 
 
-_MAPS = {
-    "identity": {},
-    "constant": {"value": 1.0},
-    "linear": {"slope": 1.0},
-    "quadratic": {"slope": None, "curvature": None},
-}
-
 # the names each ``name:a,b`` option accepts; for each name, the keywords the
 # numbers after its colon set, in order, with their defaults (None: required)
 _SHAPES = {
-    "drift": _MAPS,
-    "gain": _MAPS,
     "potential": {"free": {}, "harmonic": {"omega": 1.0}},
     "apodization": {"none": {}, "gaussian": {"sigma_y": 1.0}, "window": {"window": 1.0}},
 }
+_SHAPES["drift"] = _SHAPES["gain"] = {name: keys for name, (keys, _) in markov.MAPS.items()}
 
 
 def _parse_shape(key: str, text: str) -> tuple[str, dict]:
@@ -748,7 +740,7 @@ def run(argv: list[str]) -> int:
     except ValueError as exc:
         print(f"qal {args.command}: {exc}", file=sys.stderr)
         return 1
-    except (FloatingPointError, OverflowError) as exc:
+    except ArithmeticError as exc:
         print(f"qal {args.command}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -33,6 +33,7 @@ __all__ = [
     "GameRun",
     "TransitionKernel",
     "JointDensity",
+    "MAPS",
     "make_map",
     "simulate_game",
     "effective_kernel",
@@ -50,6 +51,18 @@ _BLOCK = 4096  # trials per generator substream: the fixed partition of a run
 _THREAD_ROUNDS = 4
 
 
+# the named state maps for drifts and gains: each name's parameters, in order,
+# with the value a bare ``name`` takes on the command line (None: required),
+# and the map of x and those parameters
+MAPS = {
+    "identity": ({}, lambda x: x),
+    "constant": ({"value": 1.0}, lambda x, value: np.full_like(x, value)),
+    "linear": ({"slope": 1.0}, lambda x, slope: slope * x),
+    "quadratic": ({"slope": None, "curvature": None},
+                  lambda x, slope, c: slope * x + c * x * x),
+}
+
+
 def make_map(name: str, **params) -> Callable[[np.ndarray], np.ndarray]:
     """Named state maps for drifts and gains; each takes exactly its parameters.
 
@@ -58,15 +71,9 @@ def make_map(name: str, **params) -> Callable[[np.ndarray], np.ndarray]:
     linear(slope): slope * x
     quadratic(slope, curvature): slope * x + curvature * x^2
     """
-    maps = {
-        "identity": ((), lambda x: x),
-        "constant": (("value",), lambda x, value: np.full_like(x, value)),
-        "linear": (("slope",), lambda x, slope: slope * x),
-        "quadratic": (("slope", "curvature"), lambda x, slope, c: slope * x + c * x * x),
-    }
-    if name not in maps:
+    if name not in MAPS:
         raise ValueError(f"unknown map name {name!r}")
-    names, fn = maps[name]
+    names, fn = MAPS[name]
     if set(params) != set(names):
         raise ValueError(f"map {name!r} takes {', '.join(names) or 'no parameters'}, "
                          f"got {', '.join(sorted(params)) or 'none'}")

@@ -480,6 +480,9 @@ class TestCommands:
             # the state overflows in the game's second round
             (["simulate-game", "--p", ".5,.5", "--labels", "1e308,-1e308",
               "--rounds", "3", "--trials", "10"], "FloatingPointError"),
+            # each squared increment underflows to 0, so their ratio is 0/0
+            (["roughness", "--mode", "classical", "--eps-ladder", "1e-200,2e-200"],
+             "ZeroDivisionError"),
         ],
     )
     def test_float_error_exit_1(self, tmp_path, capsys, argv, error):
